@@ -7,22 +7,20 @@
 // masking-mechanism counters of the telemetry registry.
 //
 // A Tracker is armed at injection time, inside the inject callback, after
-// the fault mask has been applied: Attach classifies each flipped bit
-// against the concrete target geometry and installs the tracker as the
-// target's access probe. The probes model what the hardware actually
-// consults per access — a set-associative lookup reads valid+tag of every
-// way in the probed set in parallel, a TLB lookup CAM-compares valid+VPN of
-// every entry — so a fault that influenced an access is never missed; the
-// price is a conservative over-approximation (a metadata bit "read" by a
-// compare that happened to produce the right answer still counts as read).
+// the fault mask has been applied: Attach locates each flipped bit in the
+// target's cell layout and installs the tracker as a sink of the shared
+// bit-semantics model (internal/bitsem), which says which cells every
+// hardware access consumes, writes back, redefines or refills. The
+// liveness profiler consumes the same model over a whole fault-free run,
+// so an injected fault's fate and the golden run's lifetimes are two
+// independent measurements of one definition of "read".
 package forensics
 
 import (
+	"cmp"
 	"fmt"
 
-	"mbusim/internal/cache"
-	"mbusim/internal/cpu"
-	"mbusim/internal/tlb"
+	"mbusim/internal/bitsem"
 )
 
 // Mode selects how much forensics a campaign records per sample.
@@ -147,36 +145,19 @@ type Report struct {
 	DivergeCycle uint64
 }
 
-// cellKind classifies a flipped bit by which hardware events consult it.
-type cellKind uint8
-
-const (
-	kindCacheValid cellKind = iota
-	kindCacheDirty
-	kindCacheTag
-	kindCacheData
-	kindTLBCAM
-	kindTLBPayload
-	kindTLBSpare
-	kindRegData
-	kindRegReady
-)
-
+// trCell is one flipped bit: the bitsem cell holding it and the cycles of
+// its first read, writeback and clear (0 = never).
 type trCell struct {
-	kind    cellKind
-	row     int
-	set     int // cache kinds: set index of row; else -1
-	byteIdx int // kindCacheData: byte offset within the line; else -1
-	read    uint64
-	wb      uint64
-	clear   uint64
-	refill  bool // clear came from a line refill
+	cell   int
+	read   uint64
+	wb     uint64
+	clear  uint64
+	refill bool // clear came from a line refill
 }
 
-// Tracker follows the corrupted bits of a single injection. It implements
-// the cache, TLB and register-file probe interfaces; Attach installs it on
-// the target. Not safe for concurrent use — each sample owns its own
-// tracker, like its own machine.
+// Tracker follows the corrupted bits of a single injection. It is the
+// bitsem.Sink Attach installs on the target. Not safe for concurrent use —
+// each sample owns its own tracker, like its own machine.
 type Tracker struct {
 	now        func() uint64
 	armCycle   uint64
@@ -185,7 +166,8 @@ type Tracker struct {
 	firstWB    uint64
 	firstTouch uint64
 	diverge    uint64
-	detach     func() // removes the probe Attach installed
+	probe      *bitsem.Adapter // the probe Attach installed
+	watched    []int           // scratch: the cells of unresolved bits
 }
 
 // NewTracker returns a tracker reading the current cycle from now
@@ -194,22 +176,21 @@ func NewTracker(now func() uint64) *Tracker {
 	return &Tracker{now: now}
 }
 
-// Attach classifies the flipped bits against the concrete target type and
+// Attach locates the flipped bits in the target's bitsem cell layout and
 // installs the tracker as the target's access probe. Call it inside the
 // injection callback, after the mask has been applied. It returns an error
 // for target types it does not know.
 func (t *Tracker) Attach(target any, mask []BitCell) error {
 	t.armCycle = t.now()
-	switch tg := target.(type) {
-	case *cache.Cache:
-		t.attachCache(tg, mask)
-	case *tlb.TLB:
-		t.attachTLB(tg, mask)
-	case *cpu.RegFile:
-		t.attachRegFile(tg, mask)
-	default:
-		return fmt.Errorf("forensics: unsupported target %T", target)
+	a, err := bitsem.Attach(target, t)
+	if err != nil {
+		return fmt.Errorf("forensics: %w", err)
 	}
+	for _, mc := range mask {
+		t.cells = append(t.cells, trCell{cell: a.Cell(mc.Row, mc.Col)})
+	}
+	t.probe = a
+	t.watch()
 	return nil
 }
 
@@ -219,61 +200,52 @@ func (t *Tracker) Attach(target any, mask []BitCell) error {
 // probes are wiring, not snapshot state, so a restore does not remove them.
 // Detach is idempotent and a no-op on a never-attached tracker.
 func (t *Tracker) Detach() {
-	if t.detach != nil {
-		t.detach()
-		t.detach = nil
+	if t.probe != nil {
+		t.probe.Detach()
+		t.probe = nil
 	}
 }
 
-func (t *Tracker) attachCache(c *cache.Cache, mask []BitCell) {
-	stateBits := c.StateBits()
-	ways := c.Config().Ways
-	for _, mc := range mask {
-		cl := trCell{row: mc.Row, set: mc.Row / ways, byteIdx: -1}
-		switch {
-		case mc.Col == 0:
-			cl.kind = kindCacheValid
-		case mc.Col == 1:
-			cl.kind = kindCacheDirty
-		case mc.Col < stateBits:
-			cl.kind = kindCacheTag
+// Touch implements bitsem.Sink: every tracked bit in cells [lo, hi) takes
+// the effect, unless it was already read or cleared (a bit's fate is
+// settled by then) or, for a writeback, already written back.
+func (t *Tracker) Touch(e bitsem.Effect, lo, hi int) {
+	resolved := false
+	for i := range t.cells {
+		c := &t.cells[i]
+		if c.cell < lo || c.cell >= hi || c.read != 0 || c.clear != 0 || e == bitsem.Writeback && c.wb != 0 {
+			continue
+		}
+		cyc := t.tick()
+		t.firstTouch = cmp.Or(t.firstTouch, cyc)
+		switch e {
+		case bitsem.Consume:
+			c.read = cyc
+			t.firstRead = cmp.Or(t.firstRead, cyc)
+		case bitsem.Writeback:
+			c.wb = cyc
+			t.firstWB = cmp.Or(t.firstWB, cyc)
 		default:
-			cl.kind = kindCacheData
-			cl.byteIdx = (mc.Col - stateBits) / 8
+			c.clear, c.refill = cyc, e == bitsem.Refill
 		}
-		t.cells = append(t.cells, cl)
+		resolved = resolved || e != bitsem.Writeback
 	}
-	c.SetProbe(t)
-	t.detach = func() { c.SetProbe(nil) }
+	if resolved {
+		t.watch()
+	}
 }
 
-func (t *Tracker) attachTLB(tb *tlb.TLB, mask []BitCell) {
-	for _, mc := range mask {
-		cl := trCell{row: mc.Row, set: -1, byteIdx: -1}
-		switch tlb.ClassifyCol(mc.Col) {
-		case tlb.ColCAM:
-			cl.kind = kindTLBCAM
-		case tlb.ColPayload:
-			cl.kind = kindTLBPayload
-		default:
-			cl.kind = kindTLBSpare
+// watch narrows the probe to the cells of bits not yet read or cleared:
+// no later event can change the fate of the others, so once every bit is
+// settled each access costs the probe one compare.
+func (t *Tracker) watch() {
+	t.watched = t.watched[:0]
+	for _, c := range t.cells {
+		if c.read == 0 && c.clear == 0 {
+			t.watched = append(t.watched, c.cell)
 		}
-		t.cells = append(t.cells, cl)
 	}
-	tb.SetProbe(t)
-	t.detach = func() { tb.SetProbe(nil) }
-}
-
-func (t *Tracker) attachRegFile(rf *cpu.RegFile, mask []BitCell) {
-	for _, mc := range mask {
-		cl := trCell{row: mc.Row, set: -1, byteIdx: -1, kind: kindRegData}
-		if mc.Col == cpu.ReadyCol {
-			cl.kind = kindRegReady
-		}
-		t.cells = append(t.cells, cl)
-	}
-	rf.SetProbe(t)
-	t.detach = func() { rf.SetProbe(nil) }
+	t.probe.Watch(t.watched)
 }
 
 // tick returns the current cycle, clamped to 1 so it can never alias the
@@ -284,208 +256,6 @@ func (t *Tracker) tick() uint64 {
 		cyc = 1
 	}
 	return cyc
-}
-
-func (t *Tracker) markRead(c *trCell) {
-	if c.read != 0 || c.clear != 0 {
-		return
-	}
-	cyc := t.tick()
-	c.read = cyc
-	if t.firstRead == 0 {
-		t.firstRead = cyc
-	}
-	if t.firstTouch == 0 {
-		t.firstTouch = cyc
-	}
-}
-
-func (t *Tracker) markWB(c *trCell) {
-	if c.wb != 0 || c.clear != 0 {
-		return
-	}
-	cyc := t.tick()
-	c.wb = cyc
-	if t.firstWB == 0 {
-		t.firstWB = cyc
-	}
-	if t.firstTouch == 0 {
-		t.firstTouch = cyc
-	}
-}
-
-func (t *Tracker) markClear(c *trCell, refill bool) {
-	if c.clear != 0 {
-		return
-	}
-	cyc := t.tick()
-	c.clear = cyc
-	c.refill = refill
-	if t.firstTouch == 0 {
-		t.firstTouch = cyc
-	}
-}
-
-// --- cache.Probe ---
-
-// OnLookup implements cache.Probe: the parallel tag read consults valid +
-// tag bits of every way in the probed set.
-func (t *Tracker) OnLookup(set uint32) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.set == int(set) && (c.kind == kindCacheValid || c.kind == kindCacheTag) {
-			t.markRead(c)
-		}
-	}
-}
-
-// OnReadData implements cache.Probe.
-func (t *Tracker) OnReadData(row, off, n int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.kind == kindCacheData && c.row == row && c.byteIdx >= off && c.byteIdx < off+n {
-			t.markRead(c)
-		}
-	}
-}
-
-// OnWriteData implements cache.Probe: overwritten data bytes are cleared,
-// and the dirty bit is rewritten (stores set it unconditionally).
-func (t *Tracker) OnWriteData(row, off, n int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.row != row {
-			continue
-		}
-		switch c.kind {
-		case kindCacheData:
-			if c.byteIdx >= off && c.byteIdx < off+n {
-				t.markClear(c, false)
-			}
-		case kindCacheDirty:
-			t.markClear(c, false)
-		}
-	}
-}
-
-// OnEvict implements cache.Probe: choosing a fill victim consults its valid
-// and dirty bits.
-func (t *Tracker) OnEvict(row int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.row == row && (c.kind == kindCacheValid || c.kind == kindCacheDirty) {
-			t.markRead(c)
-		}
-	}
-}
-
-// OnWriteback implements cache.Probe: the victim's tag bits form the
-// writeback address and its data bytes escape to the next level.
-func (t *Tracker) OnWriteback(row int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.row == row && (c.kind == kindCacheTag || c.kind == kindCacheData) {
-			t.markWB(c)
-		}
-	}
-}
-
-// OnFill implements cache.Probe: a refill rewrites the whole line —
-// valid, dirty, tag and data.
-func (t *Tracker) OnFill(row int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.row == row {
-			t.markClear(c, true)
-		}
-	}
-}
-
-// --- tlb.Probe ---
-
-// OnTLBLookup implements tlb.Probe: the CAM compare consults valid + VPN
-// bits of every entry; on a hit, the hit entry's payload enters the
-// datapath.
-func (t *Tracker) OnTLBLookup(hit int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		switch c.kind {
-		case kindTLBCAM:
-			t.markRead(c)
-		case kindTLBPayload:
-			if c.row == hit {
-				t.markRead(c)
-			}
-		}
-	}
-}
-
-// OnTLBInsert implements tlb.Probe: the whole entry is overwritten.
-func (t *Tracker) OnTLBInsert(row int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.row == row && isTLBKind(c.kind) {
-			t.markClear(c, false)
-		}
-	}
-}
-
-// OnTLBInvalidate implements tlb.Probe: every entry is cleared.
-func (t *Tracker) OnTLBInvalidate() {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if isTLBKind(c.kind) {
-			t.markClear(c, false)
-		}
-	}
-}
-
-func isTLBKind(k cellKind) bool {
-	return k == kindTLBCAM || k == kindTLBPayload || k == kindTLBSpare
-}
-
-// --- cpu.RegProbe ---
-
-// OnRegRead implements cpu.RegProbe.
-func (t *Tracker) OnRegRead(row int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.kind == kindRegData && c.row == row {
-			t.markRead(c)
-		}
-	}
-}
-
-// OnRegReadyRead implements cpu.RegProbe.
-func (t *Tracker) OnRegReadyRead(row int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.kind == kindRegReady && c.row == row {
-			t.markRead(c)
-		}
-	}
-}
-
-// OnRegWrite implements cpu.RegProbe: the value and ready bit are both
-// rewritten.
-func (t *Tracker) OnRegWrite(row int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.row == row && (c.kind == kindRegData || c.kind == kindRegReady) {
-			t.markClear(c, false)
-		}
-	}
-}
-
-// OnRegAlloc implements cpu.RegProbe: reallocation rewrites the ready bit;
-// the stale (possibly corrupted) value survives until the producer writes.
-func (t *Tracker) OnRegAlloc(row int) {
-	for i := range t.cells {
-		c := &t.cells[i]
-		if c.kind == kindRegReady && c.row == row {
-			t.markClear(c, false)
-		}
-	}
 }
 
 // --- shadow divergence ---

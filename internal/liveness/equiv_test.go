@@ -13,10 +13,12 @@ import (
 // TestNeverTouchedMatchesForensics is the closing-the-loop check: the
 // analytical never-touched fraction from one fault-free profiled run must
 // agree with the forensics-measured `never-touched` fate fraction of a
-// real injection campaign on the same workload. The two measure the same
-// quantity through disjoint machinery — the profiler integrates dead
-// bit-cycles over the whole structure, forensics watches each injected
-// mask for events — so agreement within sampling noise validates both.
+// real injection campaign on the same workload. Both read one shared
+// bit-semantics model (internal/bitsem), but they are two independent
+// measurements — the profiler integrates dead bit-cycles over the whole
+// structure in one golden run, forensics watches each injected mask for
+// events in faulty runs — so agreement within sampling noise validates
+// both.
 //
 // Cache components are used because their column count (~500+) makes the
 // mask generator's slight under-weighting of edge rows/cols negligible;

@@ -3,15 +3,15 @@
 // live (ACE) state when, how long written values sit before their first
 // consume, and how occupancy evolves over the run.
 //
-// The profiler reuses the forensics probe hook points (cache.Probe,
-// tlb.Probe, cpu.RegProbe) but tracks the *whole* structure instead of one
-// injected mask: every row x bit-class is a tracked cell carrying its
-// current write ("def") cycle, first/last consume cycles and last-touch
-// cycle. The event fan-out mirrors internal/forensics exactly — a
-// set-associative lookup consults valid+tag of every way in the probed
-// set, a TLB lookup CAM-compares every entry, a writeback reads tag+data —
-// so the analytical model and the measured fault fates describe the same
-// hardware events. Two summaries fall out:
+// The profiler is a sink of the shared bit-semantics model
+// (internal/bitsem), the same model fault forensics attaches per injected
+// mask, but it tracks the *whole* structure: every cell of the bitsem
+// layout carries its current write ("def") cycle, first/last consume
+// cycles and last-touch cycle. Consumes and writebacks extend a cell's
+// live generation; defines and refills open a new one. The analytical
+// profile of one golden run and the fault fates measured by injection are
+// thus two independent measurements of one event semantics. Two summaries
+// fall out:
 //
 //   - ACE bit-cycles: for each generation of a cell (write..last read),
 //     the interval during which a flipped bit would have been consumed.
@@ -30,10 +30,8 @@ package liveness
 import (
 	"math/bits"
 
-	"mbusim/internal/cache"
-	"mbusim/internal/cpu"
+	"mbusim/internal/bitsem"
 	"mbusim/internal/sim"
-	"mbusim/internal/tlb"
 )
 
 // LifeBuckets is the number of log2 lifetime-histogram buckets per bit
@@ -51,9 +49,8 @@ func lifeBucket(d uint64) int {
 	return b
 }
 
-// cell is one tracked row x bit-class unit. Data is tracked per byte (the
-// granularity the probes report), metadata per field — the same cells the
-// forensics tracker classifies an injected mask into.
+// cell is the tracked state of one cell of the structure's bitsem layout:
+// a metadata field of one row, or one cache data byte.
 type cell struct {
 	class uint16 // index into the component's class table
 	width uint16 // bits this cell stands for
@@ -76,16 +73,15 @@ type compTracker struct {
 	cells   []cell
 	classes []ClassProfile
 
+	probe *bitsem.Adapter
+
 	// Window sampling state, filled by Profiler.sample.
 	target   any // the concrete structure, for StructState
-	rowLive  func(row int) bool
 	hasDirty bool
 	occBP    []uint32
 	dirtyBP  []uint32
 	rowValid []byte
 	rowBytes int
-
-	detach func()
 }
 
 // tick returns the current cycle clamped to 1, the same "never happened"
@@ -98,13 +94,12 @@ func (t *compTracker) tick() uint64 {
 	return cyc
 }
 
-// consume records that cell i's bits entered the datapath (read, CAM
-// compare, writeback): the first consume of a generation closes the
-// write-to-read lifetime into the class histogram; every consume extends
-// the generation's ACE interval.
-func (t *compTracker) consume(i int) {
+// consume records that cell i's bits entered the datapath at cycle cyc
+// (read, CAM compare, writeback): the first consume of a generation closes
+// the write-to-read lifetime into the class histogram; every consume
+// extends the generation's ACE interval.
+func (t *compTracker) consume(i int, cyc uint64) {
 	c := &t.cells[i]
-	cyc := t.tick()
 	if c.firstUse == 0 {
 		cl := &t.classes[c.class]
 		cl.Reads++
@@ -115,12 +110,11 @@ func (t *compTracker) consume(i int) {
 	c.lastTouch = cyc
 }
 
-// define records that cell i was overwritten with new state: the previous
-// generation's ACE interval (write..last consume) is banked, and a new
-// generation opens at the current cycle.
-func (t *compTracker) define(i int) {
+// define records that cell i was overwritten with new state at cycle cyc:
+// the previous generation's ACE interval (write..last consume) is banked,
+// and a new generation opens.
+func (t *compTracker) define(i int, cyc uint64) {
 	c := &t.cells[i]
-	cyc := t.tick()
 	cl := &t.classes[c.class]
 	if c.lastUse != 0 {
 		cl.AceBitCycles += (c.lastUse - c.def) * uint64(c.width)
@@ -150,209 +144,43 @@ func (t *compTracker) finish(end uint64) {
 	}
 }
 
-// --- cache tracker ---
-
-// Cache cell layout: valid cells [0,rows), dirty [rows,2rows), tag
-// [2rows,3rows) (one cell of tagBits width per row), then one cell per
-// data byte, line-major.
-type cacheProbe struct {
-	t        *compTracker
-	ways     int
-	lineSize int
-	dataBase int // 3*rows
-}
-
-func newCacheTracker(c *cache.Cache, now func() uint64) *compTracker {
-	cfg := c.Config()
-	rows := c.Rows()
-	tagBits := c.StateBits() - 2
-	t := &compTracker{
-		name: c.Name(), rows: rows, cols: c.Cols(), now: now,
-		target: c, hasDirty: true,
+// Touch implements bitsem.Sink: consumed and written-back cells enter
+// the datapath, defined and refilled ones start a new generation.
+func (t *compTracker) Touch(e bitsem.Effect, lo, hi int) {
+	cyc := t.tick()
+	if e == bitsem.Consume || e == bitsem.Writeback {
+		for i := lo; i < hi; i++ {
+			t.consume(i, cyc)
+		}
+		return
 	}
-	t.classes = []ClassProfile{
-		{Name: "valid", Bits: uint64(rows)},
-		{Name: "dirty", Bits: uint64(rows)},
-		{Name: "tag", Bits: uint64(rows) * uint64(tagBits)},
-		{Name: "data", Bits: uint64(rows) * uint64(cfg.LineSize) * 8},
-	}
-	t.cells = make([]cell, 3*rows+rows*cfg.LineSize)
-	for r := 0; r < rows; r++ {
-		t.cells[r] = cell{class: 0, width: 1}
-		t.cells[rows+r] = cell{class: 1, width: 1}
-		t.cells[2*rows+r] = cell{class: 2, width: uint16(tagBits)}
-	}
-	for i := 3 * rows; i < len(t.cells); i++ {
-		t.cells[i] = cell{class: 3, width: 8}
-	}
-	t.rowLive = func(row int) bool {
-		_, valid, _, _ := c.LineState(row)
-		return valid
-	}
-	c.SetProbe(&cacheProbe{t: t, ways: cfg.Ways, lineSize: cfg.LineSize, dataBase: 3 * rows})
-	t.detach = func() { c.SetProbe(nil) }
-	return t
-}
-
-// OnLookup implements cache.Probe: the parallel tag read consults valid +
-// tag bits of every way in the probed set.
-func (p *cacheProbe) OnLookup(set uint32) {
-	base := int(set) * p.ways
-	for w := 0; w < p.ways; w++ {
-		row := base + w
-		p.t.consume(row)              // valid
-		p.t.consume(2*p.t.rows + row) // tag
+	for i := lo; i < hi; i++ {
+		t.define(i, cyc)
 	}
 }
 
-// OnReadData implements cache.Probe.
-func (p *cacheProbe) OnReadData(row, off, n int) {
-	base := p.dataBase + row*p.lineSize + off
-	for i := 0; i < n; i++ {
-		p.t.consume(base + i)
+// newTracker attaches a whole-structure tracker to target, one tracked
+// cell per cell of its bitsem layout.
+func newTracker(target any, now func() uint64) *compTracker {
+	t := &compTracker{now: now, target: target, hasDirty: StructState(target).HasDirty}
+	a, err := bitsem.Attach(target, t)
+	if err != nil {
+		panic("liveness: " + err.Error()) // sim.Machine only holds supported structures
 	}
-}
-
-// OnWriteData implements cache.Probe: the written bytes and the dirty bit
-// are rewritten.
-func (p *cacheProbe) OnWriteData(row, off, n int) {
-	base := p.dataBase + row*p.lineSize + off
-	for i := 0; i < n; i++ {
-		p.t.define(base + i)
-	}
-	p.t.define(p.t.rows + row) // dirty bit set unconditionally
-}
-
-// OnEvict implements cache.Probe: choosing a fill victim consults its
-// valid and dirty bits.
-func (p *cacheProbe) OnEvict(row int) {
-	p.t.consume(row)            // valid
-	p.t.consume(p.t.rows + row) // dirty
-}
-
-// OnWriteback implements cache.Probe: the tag bits form the writeback
-// address and the data bytes escape to the next level.
-func (p *cacheProbe) OnWriteback(row int) {
-	p.t.consume(2*p.t.rows + row)
-	base := p.dataBase + row*p.lineSize
-	for i := 0; i < p.lineSize; i++ {
-		p.t.consume(base + i)
-	}
-}
-
-// OnFill implements cache.Probe: a refill rewrites the whole line.
-func (p *cacheProbe) OnFill(row int) {
-	p.t.define(row)
-	p.t.define(p.t.rows + row)
-	p.t.define(2*p.t.rows + row)
-	base := p.dataBase + row*p.lineSize
-	for i := 0; i < p.lineSize; i++ {
-		p.t.define(base + i)
-	}
-}
-
-// --- TLB tracker ---
-
-// TLB cell layout: CAM cells [0,rows), payload [rows,2rows), spare
-// [2rows,3rows). Widths are derived from tlb.ClassifyCol so the class
-// geometry can never drift from the injectable geometry.
-type tlbProbe struct{ t *compTracker }
-
-func newTLBTracker(tb *tlb.TLB, now func() uint64) *compTracker {
-	rows := tb.Rows()
-	var camW, payW, spareW int
-	for col := 0; col < tlb.EntryBits; col++ {
-		switch tlb.ClassifyCol(col) {
-		case tlb.ColCAM:
-			camW++
-		case tlb.ColPayload:
-			payW++
-		default:
-			spareW++
+	t.probe, t.name, t.rows, t.cols = a, a.Name, a.Rows, a.Cols
+	t.cells = make([]cell, a.Cells())
+	t.classes = make([]ClassProfile, len(a.Classes))
+	for c, cl := range a.Classes {
+		t.classes[c] = ClassProfile{Name: cl.Name, Bits: uint64(a.Rows) * uint64(cl.PerRow) * uint64(cl.Width)}
+		for i := a.Base(c); i < a.Base(c+1); i++ {
+			t.cells[i] = cell{class: uint16(c), width: uint16(cl.Width)}
 		}
 	}
-	t := &compTracker{name: tb.Name(), rows: rows, cols: tlb.EntryBits, now: now, target: tb}
-	t.classes = []ClassProfile{
-		{Name: "cam", Bits: uint64(rows * camW)},
-		{Name: "payload", Bits: uint64(rows * payW)},
-		{Name: "spare", Bits: uint64(rows * spareW)},
-	}
-	t.cells = make([]cell, 3*rows)
-	for r := 0; r < rows; r++ {
-		t.cells[r] = cell{class: 0, width: uint16(camW)}
-		t.cells[rows+r] = cell{class: 1, width: uint16(payW)}
-		t.cells[2*rows+r] = cell{class: 2, width: uint16(spareW)}
-	}
-	t.rowLive = tb.ValidAt
-	tb.SetProbe(&tlbProbe{t: t})
-	t.detach = func() { tb.SetProbe(nil) }
 	return t
 }
 
-// OnTLBLookup implements tlb.Probe: the CAM compare consults valid + VPN
-// of every entry; on a hit the hit entry's payload enters the datapath.
-func (p *tlbProbe) OnTLBLookup(hit int) {
-	for r := 0; r < p.t.rows; r++ {
-		p.t.consume(r)
-	}
-	if hit >= 0 {
-		p.t.consume(p.t.rows + hit)
-	}
-}
-
-// OnTLBInsert implements tlb.Probe: the whole entry is overwritten.
-func (p *tlbProbe) OnTLBInsert(row int) {
-	p.t.define(row)
-	p.t.define(p.t.rows + row)
-	p.t.define(2*p.t.rows + row)
-}
-
-// OnTLBInvalidate implements tlb.Probe: every entry is cleared.
-func (p *tlbProbe) OnTLBInvalidate() {
-	for i := range p.t.cells {
-		p.t.define(i)
-	}
-}
-
-// --- register-file tracker ---
-
-// RegFile cell layout: data cells [0,rows) (32 bits each), ready cells
-// [rows,2rows).
-type regProbe struct{ t *compTracker }
-
-func newRegTracker(rf *cpu.RegFile, now func() uint64) *compTracker {
-	rows := rf.Rows()
-	t := &compTracker{name: rf.Name(), rows: rows, cols: rf.Cols(), now: now, target: rf}
-	t.classes = []ClassProfile{
-		{Name: "data", Bits: uint64(rows) * 32},
-		{Name: "ready", Bits: uint64(rows)},
-	}
-	t.cells = make([]cell, 2*rows)
-	for r := 0; r < rows; r++ {
-		t.cells[r] = cell{class: 0, width: 32}
-		t.cells[rows+r] = cell{class: 1, width: 1}
-	}
-	t.rowLive = rf.ReadyAt
-	rf.SetProbe(&regProbe{t: t})
-	t.detach = func() { rf.SetProbe(nil) }
-	return t
-}
-
-// OnRegRead implements cpu.RegProbe.
-func (p *regProbe) OnRegRead(row int) { p.t.consume(row) }
-
-// OnRegReadyRead implements cpu.RegProbe.
-func (p *regProbe) OnRegReadyRead(row int) { p.t.consume(p.t.rows + row) }
-
-// OnRegWrite implements cpu.RegProbe: value and ready bit are rewritten.
-func (p *regProbe) OnRegWrite(row int) {
-	p.t.define(row)
-	p.t.define(p.t.rows + row)
-}
-
-// OnRegAlloc implements cpu.RegProbe: reallocation rewrites the ready bit;
-// the stale value survives until the producer writes.
-func (p *regProbe) OnRegAlloc(row int) { p.t.define(p.t.rows + row) }
+// detach removes the tracker's probe from its structure.
+func (t *compTracker) detach() { t.probe.Detach() }
 
 // --- profiler ---
 
@@ -386,15 +214,9 @@ func NewProfiler(m *sim.Machine, totalCycles uint64, windows int) *Profiler {
 	p := &Profiler{total: totalCycles, windows: windows}
 	// The paper's presentation order (core.Components), without importing
 	// core: the component names come from the structures themselves.
-	p.comps = []*compTracker{
-		newCacheTracker(m.L1D, now),
-		newCacheTracker(m.L1I, now),
-		newCacheTracker(m.L2, now),
-		newRegTracker(m.Core.RegFile(), now),
-		newTLBTracker(m.DTLB, now),
-		newTLBTracker(m.ITLB, now),
-	}
-	for _, ct := range p.comps {
+	for _, target := range []any{m.L1D, m.L1I, m.L2, m.Core.RegFile(), m.DTLB, m.ITLB} {
+		ct := newTracker(target, now)
+		p.comps = append(p.comps, ct)
 		ct.occBP = make([]uint32, windows)
 		if ct.hasDirty {
 			ct.dirtyBP = make([]uint32, windows)
@@ -433,7 +255,7 @@ func (p *Profiler) sample(win int) {
 		}
 		base := win * ct.rowBytes
 		for r := 0; r < ct.rows; r++ {
-			if ct.rowLive(r) {
+			if ct.probe.RowLive(r) {
 				ct.rowValid[base+r/8] |= 1 << (r % 8)
 			}
 		}

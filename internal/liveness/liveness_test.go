@@ -58,11 +58,11 @@ func TestCellAccounting(t *testing.T) {
 		cells:   []cell{{class: 0, width: 8}},
 	}
 	cyc = 10
-	tr.define(0)
+	tr.define(0, cyc)
 	cyc = 15
-	tr.consume(0) // first read: lifetime 5
+	tr.consume(0, cyc) // first read: lifetime 5
 	cyc = 20
-	tr.consume(0) // extends the ACE interval to 10..20
+	tr.consume(0, cyc) // extends the ACE interval to 10..20
 	tr.finish(100)
 
 	cl := &tr.classes[0]
@@ -90,7 +90,7 @@ func TestCellNeverReadIsDead(t *testing.T) {
 		cells:   []cell{{class: 0, width: 1}},
 	}
 	cyc = 30
-	tr.define(0)
+	tr.define(0, cyc)
 	tr.finish(100)
 	cl := &tr.classes[0]
 	if cl.AceBitCycles != 0 {
@@ -121,13 +121,13 @@ func TestRedefineBanksPreviousGeneration(t *testing.T) {
 		cells:   []cell{{class: 0, width: 1}},
 	}
 	cyc = 10
-	tr.define(0)
+	tr.define(0, cyc)
 	cyc = 14
-	tr.consume(0)
+	tr.consume(0, cyc)
 	cyc = 25
-	tr.define(0) // banks 10..14
+	tr.define(0, cyc) // banks 10..14
 	cyc = 40
-	tr.define(0) // generation at 25 was never read: no ACE
+	tr.define(0, cyc) // generation at 25 was never read: no ACE
 	tr.finish(50)
 	cl := &tr.classes[0]
 	if want := uint64(14 - 10); cl.AceBitCycles != want {
@@ -145,7 +145,7 @@ func TestRedefineBanksPreviousGeneration(t *testing.T) {
 func TestCacheTrackerFanout(t *testing.T) {
 	c := testCache()
 	var cyc uint64
-	tr := newCacheTracker(c, func() uint64 { return cyc })
+	tr := newTracker(c, func() uint64 { return cyc })
 
 	var buf [4]byte
 	cyc = 5
@@ -192,7 +192,7 @@ func TestCacheTrackerFanout(t *testing.T) {
 func TestTLBTrackerFanout(t *testing.T) {
 	tb := tlb.New("DTLB", 8)
 	var cyc uint64
-	tr := newTLBTracker(tb, func() uint64 { return cyc })
+	tr := newTracker(tb, func() uint64 { return cyc })
 
 	cyc = 3
 	tb.Insert(5, 9, true, true)
@@ -224,7 +224,7 @@ func TestTLBTrackerFanout(t *testing.T) {
 func TestRegTrackerFanout(t *testing.T) {
 	rf := cpu.NewRegFile(8)
 	var cyc uint64
-	tr := newRegTracker(rf, func() uint64 { return cyc })
+	tr := newTracker(rf, func() uint64 { return cyc })
 
 	cyc = 2
 	rf.Write(3, 42)
@@ -253,9 +253,9 @@ func TestDetachedPathAllocFree(t *testing.T) {
 	rf := cpu.NewRegFile(8)
 	var cyc uint64
 	trs := []*compTracker{
-		newCacheTracker(c, func() uint64 { return cyc }),
-		newTLBTracker(tb, func() uint64 { return cyc }),
-		newRegTracker(rf, func() uint64 { return cyc }),
+		newTracker(c, func() uint64 { return cyc }),
+		newTracker(tb, func() uint64 { return cyc }),
+		newTracker(rf, func() uint64 { return cyc }),
 	}
 	for _, tr := range trs {
 		tr.detach()
@@ -291,9 +291,9 @@ func TestAttachedPathAllocFree(t *testing.T) {
 	rf := cpu.NewRegFile(8)
 	var cyc uint64
 	now := func() uint64 { return cyc }
-	newCacheTracker(c, now)
-	newTLBTracker(tb, now)
-	newRegTracker(rf, now)
+	newTracker(c, now)
+	newTracker(tb, now)
+	newTracker(rf, now)
 
 	var buf [4]byte
 	c.Read(0x000, buf[:]) // warm up

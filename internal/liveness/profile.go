@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math/bits"
 
 	"mbusim/internal/wire"
 )
@@ -163,7 +164,7 @@ func (p *Profile) AVF(comp string) float64 {
 	if c == nil || p.Cycles == 0 {
 		return 0
 	}
-	return float64(c.Ace()) / (float64(c.TotalBits()) * float64(p.Cycles))
+	return float64(c.Ace()) / float64(c.TotalBits()*p.Cycles)
 }
 
 // NeverTouched returns the analytical probability that a fault injected
@@ -175,7 +176,7 @@ func (p *Profile) NeverTouched(comp string) float64 {
 	if c == nil || p.Cycles == 0 {
 		return 0
 	}
-	return float64(c.Never()) / (float64(c.TotalBits()) * float64(p.Cycles))
+	return float64(c.Never()) / float64(c.TotalBits()*p.Cycles)
 }
 
 // Key returns the profile's content address: a digest of everything the
@@ -365,20 +366,34 @@ func (p *Profile) validate() error {
 		if c.Name == "" {
 			return fmt.Errorf("liveness: component %d has no name", i)
 		}
+		// Budgets and sums are overflow-checked: a sum that wraps must never
+		// pass for a small one. With each class capped at the structure's
+		// bits and the component budget fitting in 64 bits, the class
+		// budgets and the class-bit sum cannot wrap either.
 		total := c.TotalBits()
-		budget := total * p.Cycles
-		var classBits uint64
+		hi, budget := bits.Mul64(total, p.Cycles)
+		if hi != 0 {
+			return fmt.Errorf("liveness: %s bit-cycle budget overflows 64 bits", c.Name)
+		}
+		var classBits, ace, never, carry, wrapped uint64
 		for j := range c.Classes {
 			cl := &c.Classes[j]
+			if cl.Bits > total {
+				return fmt.Errorf("liveness: %s/%s has %d bits, more than the %d of its structure", c.Name, cl.Name, cl.Bits, total)
+			}
 			classBits += cl.Bits
 			if limit := cl.Bits * p.Cycles; cl.AceBitCycles > limit || cl.NeverBitCycles > limit {
 				return fmt.Errorf("liveness: %s/%s bit-cycles exceed the class budget", c.Name, cl.Name)
 			}
+			ace, carry = bits.Add64(ace, cl.AceBitCycles, 0)
+			wrapped |= carry
+			never, carry = bits.Add64(never, cl.NeverBitCycles, 0)
+			wrapped |= carry
 		}
 		if classBits != total {
 			return fmt.Errorf("liveness: %s classes cover %d bits of a %dx%d geometry", c.Name, classBits, c.Rows, c.Cols)
 		}
-		if c.Ace() > budget || c.Never() > budget {
+		if wrapped != 0 || ace > budget || never > budget {
 			return fmt.Errorf("liveness: %s bit-cycles exceed the run budget", c.Name)
 		}
 		for _, v := range c.OccBP {

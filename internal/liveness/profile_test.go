@@ -1,6 +1,9 @@
 package liveness
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -128,6 +131,7 @@ func TestDecodeRejectsInconsistency(t *testing.T) {
 		{"ace over budget", func(p *Profile) { p.Components[0].Classes[0].AceBitCycles = 1 << 40 }, "budget"},
 		{"occupancy over 100%", func(p *Profile) { p.Components[0].OccBP[1] = 10001 }, "10000"},
 		{"bitmap length", func(p *Profile) { p.Components[0].RowValid = p.Components[0].RowValid[:3] }, "bitmap"},
+		{"class sums wrap", func(p *Profile) { *p = *overflowProfile() }, "more than"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,4 +146,60 @@ func TestDecodeRejectsInconsistency(t *testing.T) {
 			}
 		})
 	}
+}
+
+// overflowProfile is a sealed profile whose class sums wrap in 64-bit
+// arithmetic: two 2^63-bit classes plus a 2-bit one "cover" a 1x2
+// structure, and their ACE bit-cycles wrap back to the 2-bit-cycle budget.
+func overflowProfile() *Profile {
+	p := testProfile()
+	p.Cycles = 1
+	c := &p.Components[0]
+	c.Rows, c.Cols = 1, 2
+	c.Classes = []ClassProfile{
+		{Name: "a", Bits: 1 << 63, AceBitCycles: 1 << 63},
+		{Name: "b", Bits: 1 << 63, AceBitCycles: 1 << 63},
+		{Name: "c", Bits: 2, AceBitCycles: 2},
+	}
+	return p
+}
+
+// seal wraps a profile payload in its container: magic, format version
+// and a fresh sha256 trailer, so the decoder gets past the hash check.
+func seal(payload []byte) []byte {
+	out := append(append([]byte(nil), profileMagic[:]...), make([]byte, 8)...)
+	binary.LittleEndian.PutUint64(out[len(profileMagic):], ProfileFormat)
+	out = append(out, payload...)
+	sum := sha256.Sum256(out)
+	return append(out, sum[:]...)
+}
+
+// payloadOf strips the container from an encoded profile.
+func payloadOf(enc []byte) []byte {
+	return enc[len(profileMagic)+8 : len(enc)-sha256.Size]
+}
+
+// FuzzDecodeProfile feeds arbitrary payloads, sealed with a valid
+// container, to the decoder: it must never panic, and every profile it
+// accepts must re-encode to the same bytes and yield AVF and never-touched
+// fractions in [0, 1].
+func FuzzDecodeProfile(f *testing.F) {
+	f.Add(payloadOf(testProfile().Encode()))
+	f.Add(payloadOf(overflowProfile().Encode()))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		data := seal(payload)
+		p, err := DecodeProfile(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(p.Encode(), data) {
+			t.Fatal("accepted profile does not re-encode to its input")
+		}
+		for _, c := range p.Components {
+			avf, never := p.AVF(c.Name), p.NeverTouched(c.Name)
+			if !(avf >= 0 && avf <= 1) || !(never >= 0 && never <= 1) {
+				t.Fatalf("%s: AVF %v, never-touched %v outside [0, 1]", c.Name, avf, never)
+			}
+		}
+	})
 }
