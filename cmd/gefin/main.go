@@ -90,7 +90,7 @@ func main() {
 
 // run is the whole CLI behind an exit code, so tests can drive it
 // in-process with fake arg lists and capture both streams.
-func run(args []string, stdout, stderr io.Writer) int {
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("gefin", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -232,7 +232,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var specs []core.Spec
 	if !joinMode && !profileMode && !listMode && !serviceMode {
-		var code int
 		specs, code = buildSpecs(stderr, *all, *comp, *workload, *faults, *samples, *seed, *nockpt, *nodelta, fmode.mode, *wallTO)
 		if code != 0 {
 			return code
@@ -284,6 +283,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	start := time.Now()
 
+	// A log write error stops the file growing, not the campaign: it is
+	// reported when the run ends, and a clean exit becomes 1.
+	closeLog := func(name string, errs ...error) {
+		if err := errors.Join(errs...); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", name, err)
+			code = max(code, 1)
+		}
+	}
 	// Telemetry: -trace, -metrics-addr, -status, -events or -forensics
 	// enables the campaign registry (the core hot path stays untouched when
 	// all are absent). Forensics needs the registry for its fate counters;
@@ -296,22 +303,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmode.mode != forensics.ModeOff || *serveAddr != "" || joinMode {
 		var tracer *telemetry.Tracer
 		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
+			f, err := openLog(*tracePath, *resume, telemetry.OpenTrace)
 			if err != nil {
 				fmt.Fprintln(stderr, err)
 				return 1
 			}
-			defer f.Close()
+			defer func() { closeLog("trace", f.Close()) }()
 			tracer = telemetry.NewTracer(f)
 		}
 		tel = telemetry.NewCampaign(tracer)
 	}
-	// The event log: durable when -events names a file (-resume continues an
-	// existing log, fresh campaigns start one). The campaign service always
-	// keeps a durable log in its state directory and always continues it —
-	// restarting the service is resuming, never starting over. A coordinator
-	// without -events still keeps an in-memory log so /dispatch/events and
-	// -watch work.
+	// The event log: durable when -events names a file. The campaign service
+	// always keeps a durable log in its state directory and always continues
+	// it — restarting the service is resuming, never starting over. A
+	// coordinator without -events still keeps an in-memory log so
+	// /dispatch/events and -watch work.
 	if *eventsPath != "" || serviceMode {
 		path := *eventsPath
 		if path == "" {
@@ -322,18 +328,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 				fmt.Fprintln(stderr, err)
 				return 1
 			}
-		} else if !*resume {
-			if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-				fmt.Fprintln(stderr, err)
-				return 1
-			}
 		}
-		evlog, err := telemetry.OpenEventLog(path)
+		evlog, err := openLog(path, *resume || serviceMode, telemetry.OpenEventLog)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
-		defer evlog.Close()
+		defer func() { closeLog("events", evlog.Err(), evlog.Close()) }()
 		tel.Events = evlog
 	} else if *serveAddr != "" {
 		tel.Events = telemetry.NewEventLog(nil, 0)
@@ -787,6 +788,21 @@ func defaultCacheDir() string {
 	return filepath.Join(base, "mbusim", "artifacts")
 }
 
+// openLog opens a -trace or -events file under their one policy: a fresh
+// run starts it empty, while a continued one (-resume, or the service,
+// which always resumes) keeps it and lets open cut any torn tail.
+func openLog[T any](path string, cont bool, open func(string) (T, error)) (T, error) {
+	if !cont {
+		f, err := os.Create(path)
+		if err != nil {
+			var none T
+			return none, err
+		}
+		f.Close()
+	}
+	return open(path)
+}
+
 // buildSpecs expands the flag set into the campaign grid, validating
 // component and workload lists up front — a typo must fail before the
 // first golden run is built, not hours into the grid.
@@ -819,7 +835,7 @@ func buildSpecs(stderr io.Writer, all bool, comp, workload string, faults, sampl
 					specs = append(specs, core.Spec{
 						Workload: w, Component: c, Faults: k,
 						Samples: samples, Seed: seed,
-						NoCheckpoints: nockpt, Forensics: fmode,
+						NoCheckpoints: nockpt, NoDelta: nodelta, Forensics: fmode,
 						WallTimeout: wallTO,
 					})
 				}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"mbusim/internal/core"
+	"mbusim/internal/forensics"
 	"mbusim/internal/telemetry"
 )
 
@@ -154,6 +156,24 @@ func TestResumeMissingFileStartsFresh(t *testing.T) {
 	}
 	if _, err := core.LoadResultSet(path); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildSpecsCarriesNoDelta: -nodelta must reach every cell of an -all
+// grid, not only a single cell, or a default vs -nodelta grid A/B compares
+// the delta path with itself.
+func TestBuildSpecsCarriesNoDelta(t *testing.T) {
+	for _, all := range []bool{false, true} {
+		specs, code := buildSpecs(io.Discard, all, "L1D", "stringSearch", 1, 3, 1,
+			false, true, forensics.ModeOff, 0)
+		if code != 0 || len(specs) == 0 {
+			t.Fatalf("all=%v: buildSpecs exit %d, %d specs", all, code, len(specs))
+		}
+		for _, s := range specs {
+			if !s.NoDelta {
+				t.Fatalf("all=%v: spec %s/%s/%d-bit lost -nodelta", all, s.Component, s.Workload, s.Faults)
+			}
+		}
 	}
 }
 

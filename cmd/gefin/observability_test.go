@@ -133,6 +133,46 @@ func TestEventLogSurvivesRestartAndResume(t *testing.T) {
 	}
 }
 
+// TestTraceSurvivesRestartAndResume is the trace twin of the event-log
+// durability test: a resumed campaign continues the first session's trace,
+// cutting the half line a crash left at its tail, instead of starting the
+// file over.
+func TestTraceSurvivesRestartAndResume(t *testing.T) {
+	dir := t.TempDir()
+	outPath := filepath.Join(dir, "results.json")
+	trPath := filepath.Join(dir, "trace.jsonl")
+
+	// Session 1: one cell of the grid, three samples.
+	code, _, stderr := runGefin(t, oneCell("-out", outPath, "-trace", trPath)...)
+	if code != 0 {
+		t.Fatalf("session 1 failed: %d (%s)", code, stderr)
+	}
+	if err := os.WriteFile(trPath, append(readFile(t, trPath), []byte(`{"type":"sample","co`)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	// Session 2: resume the remaining two cells, continuing the trace.
+	code, _, stderr = runGefin(t, tinyGrid("-out", outPath, "-resume", "-trace", trPath)...)
+	if code != 0 {
+		t.Fatalf("session 2 failed: %d (%s)", code, stderr)
+	}
+	tr, err := telemetry.ReadTraceTyped(bytes.NewReader(readFile(t, trPath)))
+	if err != nil {
+		t.Fatalf("trace unreadable after resume: %v", err)
+	}
+	if len(tr.Samples) != 9 || tr.Truncated != 0 {
+		t.Fatalf("trace after resume: %d samples, %d truncated; want 9 (3 + 6 resumed), 0",
+			len(tr.Samples), tr.Truncated)
+	}
+	cells := map[int]int{}
+	for _, rec := range tr.Samples {
+		cells[rec.Faults]++
+	}
+	if cells[1] != 3 || cells[2] != 3 || cells[3] != 3 {
+		t.Fatalf("samples per cardinality = %v, want 3 each", cells)
+	}
+}
+
 func readFile(t *testing.T, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -208,7 +206,7 @@ func runWatch(stdout, stderr io.Writer, url string) int {
 				fmt.Fprintf(stderr, "watch: coordinator unreachable: %v\n", err)
 				return 1
 			}
-			if !sleepCtxWatch(ctx, time.Second) {
+			if !dispatch.SleepCtx(ctx, time.Second) {
 				return 130
 			}
 			continue
@@ -227,7 +225,8 @@ func runWatch(stdout, stderr io.Writer, url string) int {
 }
 
 // fetchEvents performs one long-poll against the events endpoint and decodes
-// the JSONL body.
+// the JSONL body. A final line cut off mid-transfer is dropped; the next
+// poll resumes after the last whole event and fetches it again.
 func fetchEvents(ctx context.Context, client *http.Client, url string, since uint64) ([]telemetry.Event, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		fmt.Sprintf("%s%s?since=%d&wait=10s", url, dispatch.PathEvents, since), nil)
@@ -242,31 +241,9 @@ func fetchEvents(ctx context.Context, client *http.Client, url string, since uin
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("watch: %s: HTTP %d", dispatch.PathEvents, resp.StatusCode)
 	}
-	var evs []telemetry.Event
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var ev telemetry.Event
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			return nil, err
-		}
-		evs = append(evs, ev)
+	el, err := telemetry.ReadEvents(resp.Body)
+	if err != nil {
+		return nil, err
 	}
-	return evs, sc.Err()
-}
-
-// sleepCtxWatch pauses for d, returning false if ctx was cancelled first.
-func sleepCtxWatch(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
+	return el.Events, nil
 }

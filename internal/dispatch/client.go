@@ -117,7 +117,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		if errors.As(err, &ra) && ra.after > delay {
 			delay = min(ra.after, maxRetryAfter)
 		}
-		if !sleepCtx(ctx, delay) {
+		if !SleepCtx(ctx, delay) {
 			return ctx.Err()
 		}
 	}

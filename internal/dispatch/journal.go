@@ -1,30 +1,27 @@
 package dispatch
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"os"
 
 	"mbusim/internal/core"
+	"mbusim/internal/jsonl"
 )
 
 // The campaign journal is the service's crash-safe source of truth for
 // WHAT was asked of it: every accepted submission and every campaign state
-// transition is one JSONL record, written with a single Write call and
-// fsynced before the client hears "accepted" — the same durability
-// discipline as ResultSet.Save (results) and the event log (telemetry).
+// transition is one JSONL record, appended through the jsonl.Log shared
+// with the event log and the trace, and fsynced before the client hears
+// "accepted" — of the three, only the journal pays for the sync.
 // Cell-level progress deliberately does NOT live here: the per-campaign
 // ResultSet files already record it atomically, so a restarted service
 // replays the journal to rebuild the campaign set and then loads each live
 // campaign's results file to mark covered cells done, byte-identically to
 // the pre-crash state.
 //
-// A crash can only ever tear the FINAL line (one Write per record). Open
-// truncates a torn tail and carries on — the record was never acknowledged,
-// so the client's retry re-submits it idempotently. Mid-stream corruption
-// is a damaged journal, not an interrupted one, and fails the open.
+// A crash can only ever tear the FINAL line; jsonl.Open truncates it and
+// carries on — the record was never acknowledged, so the client's retry
+// re-submits it idempotently. Mid-stream corruption fails the open.
 
 // Journal ops.
 const (
@@ -49,13 +46,13 @@ type JournalRecord struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// jfsync is the journal's file-sync call, indirected so tests can observe
-// that appends really sync before they are acknowledged.
-var jfsync = func(f *os.File) error { return f.Sync() }
+// jfsync is the journal's sync call, indirected so tests can observe that
+// appends really sync before they are acknowledged.
+var jfsync = (*jsonl.Log).Sync
 
 // Journal appends campaign records durably to one file.
 type Journal struct {
-	f *os.File
+	log *jsonl.Log
 }
 
 // OpenJournal opens (creating if absent) the journal at path, returning
@@ -65,26 +62,19 @@ type Journal struct {
 // be accepted as a fresh campaign. A malformed line with more data after
 // it is corruption and fails the open.
 func OpenJournal(path string) (*Journal, []JournalRecord, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, err
-	}
-	recs, err := ReadJournal(bytes.NewReader(data))
-	if err != nil {
-		return nil, nil, fmt.Errorf("dispatch: journal %s: %w", path, err)
-	}
-	// Keep only whole lines: everything past the last newline is the torn
-	// tail of an interrupted append.
-	if cut := bytes.LastIndexByte(data, '\n') + 1; cut < len(data) {
-		if err := os.Truncate(path, int64(cut)); err != nil {
-			return nil, nil, err
+	var recs []JournalRecord
+	log, err := jsonl.Open(path, func(line []byte) error {
+		var rec JournalRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
 		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		recs = append(recs, rec)
+		return nil
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("dispatch: journal %w", err)
 	}
-	return &Journal{f: f}, recs, nil
+	return &Journal{log: log}, recs, nil
 }
 
 // Append writes one record as a single line and fsyncs it. Only after
@@ -95,48 +85,11 @@ func (j *Journal) Append(rec JournalRecord) error {
 	if err != nil {
 		return err
 	}
-	line = append(line, '\n')
-	if _, err := j.f.Write(line); err != nil {
+	if _, err := j.log.Write(append(line, '\n')); err != nil {
 		return err
 	}
-	return jfsync(j.f)
+	return jfsync(j.log)
 }
 
 // Close closes the journal file.
-func (j *Journal) Close() error { return j.f.Close() }
-
-// ReadJournal parses a JSONL journal stream. Blank lines are skipped; a
-// malformed FINAL line is tolerated (torn tail) and simply dropped, while
-// a malformed line followed by more data fails with its line number.
-func ReadJournal(r io.Reader) ([]JournalRecord, error) {
-	var recs []JournalRecord
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	line := 0
-	var pendingErr error
-	for len(data) > 0 {
-		line++
-		var raw []byte
-		if i := bytes.IndexByte(data, '\n'); i >= 0 {
-			raw, data = data[:i], data[i+1:]
-		} else {
-			raw, data = data, nil
-		}
-		raw = bytes.TrimSpace(raw)
-		if len(raw) == 0 {
-			continue
-		}
-		if pendingErr != nil {
-			return nil, pendingErr
-		}
-		var rec JournalRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			pendingErr = fmt.Errorf("journal line %d: %w", line, err)
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	return recs, nil
-}
+func (j *Journal) Close() error { return j.log.Close() }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mbusim/internal/core"
+	"mbusim/internal/jsonl"
 )
 
 func journalPath(t *testing.T) string {
@@ -132,7 +133,7 @@ func TestJournalMidstreamCorruption(t *testing.T) {
 func TestJournalSyncsBeforeAck(t *testing.T) {
 	synced := 0
 	orig := jfsync
-	jfsync = func(f *os.File) error { synced++; return orig(f) }
+	jfsync = func(l *jsonl.Log) error { synced++; return orig(l) }
 	defer func() { jfsync = orig }()
 
 	j, _, err := OpenJournal(journalPath(t))

@@ -10,12 +10,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"mbusim/internal/core"
 	"mbusim/internal/telemetry"
+	"mbusim/internal/workloads"
 )
 
 // svcGrid returns n distinct cells that validate but need no simulation.
@@ -356,6 +358,50 @@ func TestServiceAdmissionQueueAndCells(t *testing.T) {
 	}
 }
 
+// TestServiceJournalReplayAtAdmissionLimit: a campaign at the default
+// per-tenant cell limit is a journal line over 1 MiB, and a restarted
+// service must replay it with every spec intact — the journal reader has
+// no line cap.
+func TestServiceJournalReplayAtAdmissionLimit(t *testing.T) {
+	big := core.ClusterSpec{Rows: 8, Cols: 8} // room for cardinalities 1..64
+	specs := make([]core.Spec, 0, defaultTenantCells)
+	for _, comp := range core.Components() {
+		for _, wl := range workloads.Names() {
+			for k := 1; k <= 64 && len(specs) < defaultTenantCells; k++ {
+				specs = append(specs, core.Spec{Workload: wl, Component: comp,
+					Faults: k, Samples: 2000, Seed: 0x9E3779B97F4A7C15, Cluster: big})
+			}
+		}
+	}
+	if len(specs) != defaultTenantCells {
+		t.Fatalf("built %d specs, want %d", len(specs), defaultTenantCells)
+	}
+
+	dir := t.TempDir()
+	svc1, _, srv1 := newTestService(t, dir, ServiceOptions{LeaseTTL: time.Minute})
+	code, _, info, apiErr := submitRaw(t, srv1.URL, &SubmitCampaignRequest{
+		Tenant: "acme", Name: "paper", Specs: specs})
+	if code != http.StatusCreated {
+		t.Fatalf("submit at the admission limit = %d (%+v), want 201", code, apiErr)
+	}
+	srv1.Close()
+	svc1.Close()
+	if n := len(readFile(t, filepath.Join(dir, "journal.jsonl"))); n <= 1<<20 {
+		t.Fatalf("journal is %d bytes; the test needs a line over 1 MiB", n)
+	}
+
+	svc2, _, _ := newTestService(t, dir, ServiceOptions{LeaseTTL: time.Minute})
+	svc2.mu.Lock()
+	defer svc2.mu.Unlock()
+	c := svc2.campaigns[info.ID]
+	if c == nil || c.tenant != "acme" || c.name != "paper" {
+		t.Fatalf("campaign %s not replayed with its identity: %+v", info.ID, c)
+	}
+	if !slices.Equal(c.specs, specs) {
+		t.Fatalf("replayed %d specs, not the %d submitted", len(c.specs), len(specs))
+	}
+}
+
 // TestServiceValidationRejects: malformed submissions get typed 400s, not
 // queue slots.
 func TestServiceValidationRejects(t *testing.T) {
@@ -587,7 +633,7 @@ func TestServiceJournalUnwritableRefusesSubmission(t *testing.T) {
 		t.Fatalf("submit with a dead journal = %d (%+v), want 500", code, apiErr)
 	}
 	// And nothing was admitted: the queue is exactly as durable as it claims.
-	if n := len(svc.Snapshot()) ; n == 0 {
+	if n := len(svc.Snapshot()); n == 0 {
 		t.Fatal("snapshot unavailable")
 	}
 	if svc.Snapshot()["campaigns"] != 0 {

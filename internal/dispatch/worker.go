@@ -94,7 +94,7 @@ func (w *Worker) Run(ctx context.Context) error {
 			if pause <= 0 {
 				pause = 500 * time.Millisecond
 			}
-			if !sleepCtx(ctx, pause) {
+			if !SleepCtx(ctx, pause) {
 				return ctx.Err()
 			}
 		case StatusLease:
@@ -263,7 +263,7 @@ func (w *Worker) post(ctx context.Context, path string, req, rep any) error {
 		if errors.As(lastErr, &ra) && ra.after > delay {
 			delay = min(ra.after, maxRetryAfter)
 		}
-		if !sleepCtx(ctx, delay) {
+		if !SleepCtx(ctx, delay) {
 			return ctx.Err()
 		}
 	}
@@ -322,8 +322,8 @@ func classifyHTTPError(path string, resp *http.Response) error {
 	return fmt.Errorf("dispatch: %s: HTTP %d", path, resp.StatusCode)
 }
 
-// sleepCtx pauses for d, returning false if ctx was cancelled first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
+// SleepCtx pauses for d, returning false if ctx was cancelled first.
+func SleepCtx(ctx context.Context, d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

@@ -1,14 +1,14 @@
 package telemetry
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sync"
 	"time"
+
+	"mbusim/internal/jsonl"
 )
 
 // Campaign event log: a durable, ordered record of everything that happens
@@ -110,35 +110,21 @@ func NewEventLog(w io.Writer, after uint64) *EventLog {
 
 // OpenEventLog opens path for durable appending, creating it if absent. An
 // existing file is scanned so new events continue the sequence after the
-// highest persisted one, and a crash-torn partial final line is cut off so
-// the next append starts at a line boundary (mid-file corruption is still
-// an error — that is a damaged log, not an interrupted one). The returned
-// log owns the file; Close it when the campaign ends.
+// last persisted one, and a crash-torn final line is cut off (jsonl.Open);
+// mid-file corruption is still an error. The returned log owns the file;
+// Close it when the campaign ends.
 func OpenEventLog(path string) (*EventLog, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, err
-	}
 	var last uint64
-	if len(data) > 0 {
-		evs, err := ReadEvents(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("telemetry: event log %s: %w", path, err)
+	f, err := jsonl.Open(path, func(line []byte) error {
+		var ev Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return err
 		}
-		if n := len(evs.Events); n > 0 {
-			last = evs.Events[n-1].Seq
-		}
-		// Keep only whole lines: everything after the last newline is the
-		// torn tail of an interrupted write.
-		if cut := bytes.LastIndexByte(data, '\n') + 1; cut < len(data) {
-			if err := os.Truncate(path, int64(cut)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		last = ev.Seq
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("telemetry: event log %w", err)
 	}
 	l := NewEventLog(f, last)
 	l.closer = f
@@ -265,30 +251,17 @@ type EventList struct {
 // more data after it is corruption and fails with its line number.
 func ReadEvents(r io.Reader) (*EventList, error) {
 	el := &EventList{}
-	sc := newJSONLScanner(r)
-	line := 0
-	var pendingErr error
-	for sc.Scan() {
-		line++
-		b := bytes.TrimSpace(sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		if pendingErr != nil {
-			return nil, pendingErr
-		}
+	var err error
+	el.Truncated, err = jsonl.Scan(r, func(line []byte) error {
 		var ev Event
-		if err := json.Unmarshal(b, &ev); err != nil {
-			pendingErr = fmt.Errorf("event log line %d: %w", line, err)
-			continue
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return err
 		}
 		el.Events = append(el.Events, ev)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if pendingErr != nil {
-		el.Truncated++
+		return nil
+	})
+	if err != nil {
+		return nil, fmt.Errorf("event log %w", err)
 	}
 	return el, nil
 }

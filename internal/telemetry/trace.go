@@ -1,12 +1,14 @@
 package telemetry
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
+
+	"mbusim/internal/jsonl"
 )
 
 // Trace schema versions. v1 traces hold untyped sample records; v2 records
@@ -89,6 +91,13 @@ func NewTracer(w io.Writer) *Tracer {
 	return &Tracer{w: w}
 }
 
+// OpenTrace opens path for appending trace batches through jsonl.Open,
+// continuing an existing trace after cutting its torn tail. Records are
+// checked, not kept, so reopening a large trace costs no memory.
+func OpenTrace(path string) (*jsonl.Log, error) {
+	return jsonl.Open(path, func(line []byte) error { return new(Trace).add(line) })
+}
+
 // WriteCell appends one cell's records to the trace as a single write.
 // fates, when non-empty, are interleaved after their sample record (matched
 // by sample index; both slices must be sorted by it). Safe for concurrent
@@ -99,43 +108,24 @@ func (t *Tracer) WriteCell(recs []SampleRecord, fates []FateRecord) {
 	}
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf) // Encode appends the newline JSONL needs
+	var err error
 	fi := 0
 	for i := range recs {
 		recs[i].Type = RecordSample
-		if err := enc.Encode(&recs[i]); err != nil {
-			t.fail(err)
-			return
-		}
-		for fi < len(fates) && fates[fi].Sample <= recs[i].Sample {
+		err = errors.Join(err, enc.Encode(&recs[i]))
+		// A sample's fates follow it; the last sample takes any left over.
+		for fi < len(fates) && (fates[fi].Sample <= recs[i].Sample || i == len(recs)-1) {
 			fates[fi].Type = RecordForensics
-			if err := enc.Encode(&fates[fi]); err != nil {
-				t.fail(err)
-				return
-			}
+			err = errors.Join(err, enc.Encode(&fates[fi]))
 			fi++
 		}
 	}
-	for ; fi < len(fates); fi++ {
-		fates[fi].Type = RecordForensics
-		if err := enc.Encode(&fates[fi]); err != nil {
-			t.fail(err)
-			return
-		}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.err != nil {
-		return
-	}
-	if _, err := t.w.Write(buf.Bytes()); err != nil {
-		t.err = err
-	}
-}
-
-func (t *Tracer) fail(err error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.err == nil {
+		if err == nil {
+			_, err = t.w.Write(buf.Bytes())
+		}
 		t.err = err
 	}
 }
@@ -148,14 +138,6 @@ func (t *Tracer) Err() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.err
-}
-
-// newJSONLScanner returns a line scanner sized for JSONL records (1 MiB
-// line cap), shared by the trace and event-log readers.
-func newJSONLScanner(r io.Reader) *bufio.Scanner {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	return sc
 }
 
 // Trace is the typed content of a schema-v2 (or v1) trace stream.
@@ -196,53 +178,36 @@ func ReadTrace(r io.Reader) ([]SampleRecord, error) {
 // data still fails with its line number.
 func ReadTraceTyped(r io.Reader) (*Trace, error) {
 	tr := &Trace{}
-	sc := newJSONLScanner(r)
-	line := 0
-	// A parse error is held back one line: if another non-empty line
-	// follows, the file is corrupt mid-stream and the held error is
-	// returned; if the stream ends first, the bad line was a crash-truncated
-	// tail and is skipped.
-	var pendingErr error
-	for sc.Scan() {
-		line++
-		b := bytes.TrimSpace(sc.Bytes())
-		if len(b) == 0 {
-			continue
-		}
-		if pendingErr != nil {
-			return nil, pendingErr
-		}
-		var hdr struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(b, &hdr); err != nil {
-			pendingErr = fmt.Errorf("telemetry: trace line %d: %w", line, err)
-			continue
-		}
-		switch hdr.Type {
-		case "", RecordSample:
-			var rec SampleRecord
-			if err := json.Unmarshal(b, &rec); err != nil {
-				pendingErr = fmt.Errorf("telemetry: trace line %d: %w", line, err)
-				continue
-			}
-			tr.Samples = append(tr.Samples, rec)
-		case RecordForensics:
-			var rec FateRecord
-			if err := json.Unmarshal(b, &rec); err != nil {
-				pendingErr = fmt.Errorf("telemetry: trace line %d: %w", line, err)
-				continue
-			}
-			tr.Fates = append(tr.Fates, rec)
-		default:
-			tr.Unknown++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if pendingErr != nil {
-		tr.Truncated++
+	var err error
+	if tr.Truncated, err = jsonl.Scan(r, tr.add); err != nil {
+		return nil, fmt.Errorf("telemetry: trace %w", err)
 	}
 	return tr, nil
+}
+
+// add decodes one trace line into tr, dispatching on its "type".
+func (tr *Trace) add(line []byte) error {
+	var hdr struct {
+		Type string `json:"type"`
+	}
+	if err := json.Unmarshal(line, &hdr); err != nil {
+		return err
+	}
+	switch hdr.Type {
+	case "", RecordSample:
+		var rec SampleRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		tr.Samples = append(tr.Samples, rec)
+	case RecordForensics:
+		var rec FateRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		tr.Fates = append(tr.Fates, rec)
+	default:
+		tr.Unknown++
+	}
+	return nil
 }
