@@ -426,16 +426,16 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	if listMode {
 		return runCampaigns(ctx, stdout, stderr, *cmpgnsAddr, *campaignID, *doAction)
 	}
-	if serviceMode {
-		return runService(ctx, stdout, stderr, *serveAddr, *serviceDir, dispatch.ServiceOptions{
-			LeaseTTL: *leaseTTL, MaxRetries: *retries, QueueDepth: *queueDepth,
-			MaxActive: *maxActive, TenantCampaigns: *tenantCamp, TenantCells: *tenantCell,
-			Tel: tel,
-		}, tel, start)
-	}
 	if *serveAddr != "" {
-		return runServe(ctx, cancel, stdout, stderr, *serveAddr, specs, pending, rs,
-			*outPath, *leaseTTL, *retries, tel, health, *quiet, start)
+		opts := dispatch.ServiceOptions{LeaseTTL: *leaseTTL, MaxRetries: *retries, Tel: tel}
+		var shot *oneShot
+		if serviceMode {
+			opts.QueueDepth, opts.MaxActive = *queueDepth, *maxActive
+			opts.TenantCampaigns, opts.TenantCells = *tenantCamp, *tenantCell
+		} else {
+			shot = &oneShot{specs: specs, pending: pending, rs: rs, outPath: *outPath, quiet: *quiet}
+		}
+		return runServe(ctx, cancel, stdout, stderr, *serveAddr, *serviceDir, opts, shot, health, start)
 	}
 	tel.Emit(telemetry.Event{Type: telemetry.EventCampaignStart, Cell: -1, Cells: len(pending)})
 	err := core.RunGridWithTelemetry(ctx, pending, *parallel, func(i int, res *core.Result) {
@@ -501,110 +501,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		f.Close()
 		fmt.Fprintf(stderr, "wrote %s\n", *memProfile)
-	}
-	return 0
-}
-
-// runServe is coordinator mode: the campaign grid is leased cell-by-cell
-// to -join workers over HTTP instead of running in-process. The
-// coordinator owns the canonical ResultSet and the -out file, flushed
-// after every accepted cell exactly like a local run, so a distributed
-// campaign is resumable and mergeable with single-process ones.
-func runServe(ctx context.Context, cancel context.CancelFunc, stdout, stderr io.Writer,
-	addr string, specs, pending []core.Spec, rs *core.ResultSet, outPath string,
-	ttl time.Duration, maxRetries int, tel *telemetry.Campaign,
-	health func() telemetry.Health, quiet bool, start time.Time) int {
-
-	var (
-		done     = 0
-		flushErr error
-	)
-	// Publish the grid shape so -status and /healthz show fleet-wide totals,
-	// and open the event log with campaign_start — before dispatch.New, so a
-	// resumed-already-complete grid's immediate campaign_done orders after it.
-	totalSamples := 0
-	for _, s := range pending {
-		totalSamples += s.Samples
-	}
-	tel.SetGridShape(len(pending), totalSamples, 0, 0)
-	tel.Emit(telemetry.Event{Type: telemetry.EventCampaignStart, Cell: -1, Cells: len(pending)})
-	coord, err := dispatch.New(specs, rs, dispatch.Options{
-		LeaseTTL:   ttl,
-		MaxRetries: maxRetries,
-		Tel:        tel,
-		OnCell: func(cell int, res *core.Result) {
-			done++
-			if outPath != "" {
-				if err := rs.Save(outPath); err != nil && flushErr == nil {
-					flushErr = err
-					cancel()
-				}
-			}
-			if !quiet {
-				fmt.Fprintln(stdout, cellLine(done, len(pending), specs[cell], res, start))
-			}
-		},
-	})
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	mux := coord.Mux()
-	// Serve checkpoint artifacts next to the lease endpoints: each
-	// workload's golden reference and checkpoint set is derived once, here,
-	// on first request, and every worker installs the verified artifact
-	// instead of re-deriving it.
-	arts, err := dispatch.NewArtifactServer(specs, tel)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	mux.Handle(dispatch.PathArtifact, arts)
-	// The dispatch port doubles as the telemetry endpoint: /metrics shows
-	// the live-worker and lease gauges (and every federated worker series)
-	// next to the campaign counters, /healthz answers probes.
-	mux.Handle("/", telemetry.Handler(tel.Registry, health))
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln)
-	defer srv.Close()
-	fmt.Fprintf(stderr, "dispatch: coordinating %d cells on http://%s (lease TTL %v, %d retries/cell)\n",
-		len(pending), ln.Addr(), ttl, maxRetries)
-
-	err = coord.Wait(ctx)
-	if ctx.Err() == nil {
-		// Keep serving briefly so tail workers polling for work learn the
-		// campaign is over instead of finding a closed port.
-		coord.Drain(ctx, ttl)
-	}
-	switch {
-	case flushErr != nil:
-		fmt.Fprintf(stderr, "flush failed after %d cells: %v\n", done, flushErr)
-		return 1
-	case errors.Is(err, context.Canceled):
-		fmt.Fprintf(stderr, "interrupted: %d/%d cells complete", done, len(pending))
-		if outPath != "" && done > 0 {
-			fmt.Fprintf(stderr, ", partial results saved to %s (finish with -resume)", outPath)
-		}
-		fmt.Fprintln(stderr)
-		return 130
-	case err != nil:
-		fmt.Fprintf(stderr, "%v (%d/%d cells complete", err, done, len(pending))
-		if outPath != "" && done > 0 {
-			fmt.Fprintf(stderr, ", saved to %s; fix and re-run with -resume", outPath)
-		}
-		fmt.Fprintln(stderr, ")")
-		return 1
-	}
-	if !quiet {
-		fmt.Fprintf(stdout, "campaign complete: %d cells in %v\n", done, time.Since(start).Round(time.Second))
-	}
-	if outPath != "" {
-		fmt.Fprintf(stderr, "wrote %s\n", outPath)
 	}
 	return 0
 }

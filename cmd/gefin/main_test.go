@@ -380,27 +380,7 @@ func TestDistributedGridMatchesLocal(t *testing.T) {
 		t.Fatalf("reference run failed: %d (%s)", code, stderr)
 	}
 
-	var coordOut bytes.Buffer
-	var coordErr syncBuffer
-	coordDone := make(chan int, 1)
-	go func() {
-		coordDone <- run(tinyGrid("-out", distPath, "-serve", "127.0.0.1:0", "-lease-ttl", "2s"), &coordOut, &coordErr)
-	}()
-
-	// The coordinator reports its resolved address once it is listening.
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if time.Now().After(deadline) {
-			t.Fatalf("coordinator never came up: %s", coordErr.String())
-		}
-		if s := coordErr.String(); strings.Contains(s, "on http://") {
-			s = s[strings.Index(s, "on http://")+len("on http://"):]
-			addr = strings.Fields(s)[0]
-		} else {
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
+	addr, coordDone, coordErr := startCoordinator(t, tinyGrid("-out", distPath, "-serve", "127.0.0.1:0", "-lease-ttl", "2s")...)
 
 	code, stdout, stderr := runGefin(t, "-join", addr)
 	if code != 0 {

@@ -28,11 +28,11 @@ func rawLease(t *testing.T, url, worker string) *dispatch.LeaseReply {
 	return &rep
 }
 
-func rawSubmit(t *testing.T, url, worker string, leaseID uint64, cell int, res *core.Result) {
+func rawSubmit(t *testing.T, url, worker string, lease *dispatch.LeaseReply, res *core.Result) {
 	t.Helper()
 	var rep dispatch.SubmitReply
 	postJSON(t, url+dispatch.PathSubmit, &dispatch.SubmitRequest{
-		Worker: worker, LeaseID: leaseID, Cell: cell, Result: res}, &rep)
+		Worker: worker, LeaseID: lease.LeaseID, Campaign: lease.Campaign, Cell: lease.Cell, Result: res}, &rep)
 	if rep.Status != dispatch.StatusAccepted {
 		t.Fatalf("submit = %+v", rep)
 	}
@@ -239,13 +239,16 @@ func TestWatchStreamsFromCoordinator(t *testing.T) {
 	}
 	tel := telemetry.NewCampaign(nil)
 	tel.Events = telemetry.NewEventLog(nil, 0)
-	coord, err := dispatch.New(specs, nil, dispatch.Options{Tel: tel})
+	svc, err := dispatch.NewService(t.TempDir(), dispatch.ServiceOptions{Tel: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(coord.Mux())
+	defer svc.Close()
+	srv := httptest.NewServer(svc.FleetMux())
 	defer srv.Close()
-	tel.Emit(telemetry.Event{Type: telemetry.EventCampaignStart, Cell: -1, Cells: 1})
+	if _, _, err := svc.Submit(&dispatch.SubmitCampaignRequest{Specs: specs}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	var out, errB bytes.Buffer
 	watchDone := make(chan int, 1)
@@ -255,7 +258,7 @@ func TestWatchStreamsFromCoordinator(t *testing.T) {
 	rep := rawLease(t, srv.URL, "w1")
 	res := &core.Result{Spec: specs[0], GoldenCycles: 100, TargetBits: 64}
 	res.Counts[core.EffectMasked] = specs[0].Samples
-	rawSubmit(t, srv.URL, "w1", rep.LeaseID, rep.Cell, res)
+	rawSubmit(t, srv.URL, "w1", rep, res)
 
 	select {
 	case code := <-watchDone:

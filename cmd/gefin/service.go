@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"mbusim/internal/core"
@@ -17,15 +18,48 @@ import (
 	"mbusim/internal/workloads"
 )
 
-// runService is `gefin -serve ADDR -service-dir DIR`: the durable
-// multi-campaign coordinator. Campaigns arrive over POST /campaigns, one
-// worker fleet is shared round-robin across everything running, and every
-// accepted submission and state transition is journaled before it is
-// acknowledged — SIGKILL the process, restart it on the same directory,
-// and queued, running and finished campaigns come back exactly, with
-// results files byte-identical to an uninterrupted run.
-func runService(ctx context.Context, stdout, stderr io.Writer, addr, dir string,
-	opts dispatch.ServiceOptions, tel *telemetry.Campaign, start time.Time) int {
+// oneShot is the grid of a `gefin -serve ADDR <grid flags>` run.
+type oneShot struct {
+	specs   []core.Spec
+	pending []core.Spec // the cells -resume did not already cover
+	rs      *core.ResultSet
+	outPath string
+	quiet   bool
+}
+
+// runServe is `gefin -serve ADDR`, the one coordinator: a campaign service
+// leasing cells to -join workers, serving checkpoint artifacts, /metrics
+// and /healthz on the same port.
+//
+// With -service-dir DIR it is the durable multi-campaign service.
+// Campaigns arrive over POST /campaigns, one worker fleet is shared
+// round-robin across everything running, and every accepted submission and
+// state transition is journaled before it is acknowledged — SIGKILL the
+// process, restart it on the same directory, and queued, running and
+// finished campaigns come back exactly, with results files byte-identical
+// to an uninterrupted run.
+//
+// With grid flags (shot) the same service runs on a temporary state
+// directory with the grid submitted as its one campaign, and the process
+// exits once that campaign ends and the fleet is drained. Its durability is
+// -out, flushed after every accepted cell exactly like a local run, so a
+// distributed grid is resumable and mergeable with single-process ones.
+func runServe(ctx context.Context, cancel context.CancelFunc, stdout, stderr io.Writer,
+	addr, dir string, opts dispatch.ServiceOptions, shot *oneShot,
+	health func() telemetry.Health, start time.Time) int {
+	tel := opts.Tel
+	// The artifact table is lazy — nothing derives until a worker asks — so
+	// the service can offer every workload a future submission might name.
+	artSpecs := allWorkloadSpecs()
+	if shot != nil {
+		tmp, err := os.MkdirTemp("", "gefin-serve-")
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		defer os.RemoveAll(tmp)
+		dir, artSpecs = tmp, shot.specs
+	}
 	svc, err := dispatch.NewService(dir, opts)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -37,35 +71,106 @@ func runService(ctx context.Context, stdout, stderr io.Writer, addr, dir string,
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	mux := svc.Mux()
-	// Serve checkpoint artifacts for every registered workload: the service
-	// cannot know which workloads future submissions will name, and the
-	// artifact table is lazy — nothing derives until a worker asks.
-	arts, err := dispatch.NewArtifactServer(allWorkloadSpecs(), tel)
+	arts, err := dispatch.NewArtifactServer(artSpecs, tel)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	mux.Handle(dispatch.PathArtifact, arts)
-	health := func() telemetry.Health {
-		return telemetry.Health{Role: "service",
-			UptimeSeconds: time.Since(start).Seconds(), Campaign: svc.Snapshot()}
+	mux := svc.Mux()
+	if shot != nil {
+		// A one-shot grid takes no submissions: its port serves the worker
+		// protocol and the event stream only.
+		mux = svc.FleetMux()
+	} else {
+		health = func() telemetry.Health {
+			return telemetry.Health{Role: "service",
+				UptimeSeconds: time.Since(start).Seconds(), Campaign: svc.Snapshot()}
+		}
 	}
+	mux.Handle(dispatch.PathArtifact, arts)
 	mux.Handle("/", telemetry.Handler(tel.Registry, health))
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
 	defer srv.Close()
-	fmt.Fprintf(stderr, "dispatch: campaign service on http://%s (state %s, %d active slots, queue depth %d)\n",
-		ln.Addr(), dir, opts.MaxActive, opts.QueueDepth)
 
-	err = svc.Run(ctx)
-	if errors.Is(err, context.Canceled) {
+	if shot == nil {
+		fmt.Fprintf(stderr, "dispatch: campaign service on http://%s (state %s, %d active slots, queue depth %d)\n",
+			ln.Addr(), dir, opts.MaxActive, opts.QueueDepth)
+		svc.Run(ctx)
 		fmt.Fprintln(stderr, "campaign service stopped; state is durable — restart with the same -service-dir to resume")
 		return 130
 	}
+
+	// Publish the grid shape so -status and /healthz show fleet-wide totals.
+	totalSamples := 0
+	for _, s := range shot.pending {
+		totalSamples += s.Samples
+	}
+	tel.SetGridShape(len(shot.pending), totalSamples, 0, 0)
+	var (
+		mu       sync.Mutex // the callback runs on handler goroutines
+		done     int
+		flushErr error
+	)
+	info, _, err := svc.Submit(&dispatch.SubmitCampaignRequest{Specs: shot.specs}, shot.rs,
+		func(cell int, res *core.Result) {
+			mu.Lock()
+			defer mu.Unlock()
+			done++
+			// A failed flush cancels: running on while losing results would
+			// re-create the very bug -out exists to fix.
+			if shot.outPath != "" {
+				if err := shot.rs.Save(shot.outPath); err != nil && flushErr == nil {
+					flushErr = err
+					cancel()
+				}
+			}
+			if !shot.quiet {
+				fmt.Fprintln(stdout, cellLine(done, len(shot.pending), shot.specs[cell], res, start))
+			}
+		})
 	if err != nil {
-		fmt.Fprintln(stderr, err)
+		return clientExit(stderr, err)
+	}
+	fmt.Fprintf(stderr, "dispatch: coordinating %d cells on http://%s (lease TTL %v, %d retries/cell)\n",
+		len(shot.pending), ln.Addr(), opts.LeaseTTL, opts.MaxRetries)
+	// The sweep loop stops, and is waited for, before the service closes.
+	runCtx, stopRun := context.WithCancel(ctx)
+	swept := make(chan struct{})
+	go func() { svc.Run(runCtx); close(swept) }()
+	defer func() { stopRun(); <-swept }()
+	final, err := svc.Wait(ctx, info.ID)
+	if err == nil {
+		// Keep serving briefly so tail workers polling for work learn the
+		// campaign is over instead of finding a closed port.
+		svc.Drain(ctx, opts.LeaseTTL)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	switch {
+	case flushErr != nil:
+		fmt.Fprintf(stderr, "flush failed after %d cells: %v\n", done, flushErr)
 		return 1
+	case err != nil:
+		fmt.Fprintf(stderr, "interrupted: %d/%d cells complete", done, len(shot.pending))
+		if shot.outPath != "" && done > 0 {
+			fmt.Fprintf(stderr, ", partial results saved to %s (finish with -resume)", shot.outPath)
+		}
+		fmt.Fprintln(stderr)
+		return 130
+	case final.State != dispatch.StateDone:
+		fmt.Fprintf(stderr, "%s (%d/%d cells complete", final.Detail, done, len(shot.pending))
+		if shot.outPath != "" && done > 0 {
+			fmt.Fprintf(stderr, ", saved to %s; fix and re-run with -resume", shot.outPath)
+		}
+		fmt.Fprintln(stderr, ")")
+		return 1
+	}
+	if !shot.quiet {
+		fmt.Fprintf(stdout, "campaign complete: %d cells in %v\n", done, time.Since(start).Round(time.Second))
+	}
+	if shot.outPath != "" {
+		fmt.Fprintf(stderr, "wrote %s\n", shot.outPath)
 	}
 	return 0
 }

@@ -288,3 +288,48 @@ func TestAnalyzeEventsCampaignFilter(t *testing.T) {
 		t.Fatalf("-campaign without -events: exit=%d stderr=%s", code, stderr)
 	}
 }
+
+// TestAnalyzeEventsLocalResume: a local run resumed into the same log
+// numbers its pending cells from 0 again, so two sessions reuse index 0
+// for different cells. Cells are told apart by their spec: the log agrees
+// with the results file, and no cell reads as completed twice.
+func TestAnalyzeEventsLocalResume(t *testing.T) {
+	dir := t.TempDir()
+	base := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano()
+	sec := int64(time.Second)
+	done := func(seq uint64, at int64, cell, k int) telemetry.Event {
+		return telemetry.Event{Seq: seq, TimeNS: base + at*sec, Type: telemetry.EventCellDone, Cell: cell,
+			Comp: "L1D", Workload: "CRC32", Faults: k, Samples: 4, Counts: map[string]int{"masked": 4}}
+	}
+	evPath := writeEventLog(t, dir, []telemetry.Event{
+		// Session 1: the 1-bit cell alone.
+		{Seq: 1, TimeNS: base, Type: telemetry.EventCampaignStart, Cell: -1, Cells: 1},
+		done(2, 1, 0, 1),
+		{Seq: 3, TimeNS: base + sec, Type: telemetry.EventCampaignDone, Cell: -1, Cells: 1},
+		// Session 2: -all -resume runs the other two as cells 0 and 1.
+		{Seq: 4, TimeNS: base + 2*sec, Type: telemetry.EventCampaignStart, Cell: -1, Cells: 2},
+		done(5, 3, 0, 2),
+		done(6, 4, 1, 3),
+		{Seq: 7, TimeNS: base + 4*sec, Type: telemetry.EventCampaignDone, Cell: -1, Cells: 2},
+	})
+	rs := core.NewResultSet()
+	for k := 1; k <= 3; k++ {
+		r := &core.Result{Spec: core.Spec{Workload: "CRC32", Component: "L1D", Faults: k, Samples: 4}}
+		r.Counts[core.EffectMasked] = 4
+		rs.Add(r)
+	}
+	resPath := filepath.Join(dir, "results.json")
+	if err := rs.Save(resPath); err != nil {
+		t.Fatal(err)
+	}
+
+	code, stdout, stderr := runLogparse(t, "", "-events", evPath, "-results", resPath)
+	if code != 0 {
+		t.Fatalf("exit=%d stderr=%s stdout=%s", code, stderr, stdout)
+	}
+	for _, want := range []string{"3 cells completed, campaign complete", "agree (3 cells)"} {
+		if !strings.Contains(stdout, want) {
+			t.Fatalf("output missing %q:\n%s", want, stdout)
+		}
+	}
+}

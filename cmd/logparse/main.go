@@ -228,11 +228,8 @@ func analyzeTrace(path string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 // cellStory accumulates one cell's lifecycle from the event stream.
 type cellStory struct {
-	campaign string // "" for a single-campaign (one-shot coordinator) log
-	cell     int
-	comp     string
-	workload string
-	faults   int
+	cellID
+	cell     int // index the cell was first logged under
 	leases   int
 	expiries int
 	retries  int
@@ -243,14 +240,19 @@ type cellStory struct {
 	samples  int
 }
 
-// cellID names one cell in one campaign. A campaign service multiplexes
-// many campaigns into one shared event log, so a bare cell index is
-// ambiguous: campaign A's cell 0 and campaign B's cell 0 are different
-// cells. Single-campaign logs have Campaign == "" throughout and collapse
-// to the old keying.
+// cellID names one cell in one campaign by its spec coordinate. A cell
+// index is only a position in one session's grid: a service's campaigns
+// each number from 0, and a locally resumed run numbers its pending cells
+// from 0 again in the same continued log. The spec is what every cell
+// event carries and what admission keeps unique within a campaign.
 type cellID struct {
 	campaign string
-	cell     int
+	key      core.CellKey
+}
+
+// cellOf returns the cell a cell-scoped event is about.
+func cellOf(ev telemetry.Event) cellID {
+	return cellID{ev.Campaign, core.CellKey{Component: ev.Comp, Workload: ev.Workload, Faults: ev.Faults}}
 }
 
 // analyzeEvents digests a campaign event log: validates ordering, rebuilds
@@ -311,9 +313,8 @@ func analyzeEvents(path, resultsPath, campaign string, stdin io.Reader, stdout, 
 		lastSeq = ev.Seq
 	}
 
-	// Fold the stream into per-cell stories and per-worker tallies. Cells
-	// are keyed per campaign: a service log interleaves many campaigns and
-	// their cell indexes collide.
+	// Fold the stream into per-cell stories and per-worker tallies, keyed
+	// by campaign and spec.
 	type workerStat struct {
 		cells  int
 		busyNS int64
@@ -324,14 +325,16 @@ func analyzeEvents(path, resultsPath, campaign string, stdin io.Reader, stdout, 
 		workers   = make(map[string]*workerStat)
 		starts    = make(map[string]int)
 		doneEvent = make(map[string]*telemetry.Event)
+		// cell_done events since the campaign's last campaign_start
+		session   = make(map[string]int)
 		lastState = make(map[string]string)
 		campaigns = make(map[string]bool)
 	)
 	story := func(ev telemetry.Event) *cellStory {
-		k := cellID{ev.Campaign, ev.Cell}
+		k := cellOf(ev)
 		s, ok := cells[k]
 		if !ok {
-			s = &cellStory{campaign: ev.Campaign, cell: ev.Cell, comp: ev.Comp, workload: ev.Workload, faults: ev.Faults}
+			s = &cellStory{cellID: k, cell: ev.Cell}
 			cells[k] = s
 		}
 		return s
@@ -352,6 +355,7 @@ func analyzeEvents(path, resultsPath, campaign string, stdin io.Reader, stdout, 
 		switch ev.Type {
 		case telemetry.EventCampaignStart:
 			starts[ev.Campaign]++
+			session[ev.Campaign] = 0
 		case telemetry.EventCampaignQueued:
 			lastState[ev.Campaign] = "queued"
 		case telemetry.EventCampaignState:
@@ -362,11 +366,11 @@ func analyzeEvents(path, resultsPath, campaign string, stdin io.Reader, stdout, 
 			if s.firstNS == 0 {
 				s.firstNS = ev.TimeNS
 			}
-			wstat(ev.Worker).leased[cellID{ev.Campaign, ev.Cell}] = ev.TimeNS
+			wstat(ev.Worker).leased[cellOf(ev)] = ev.TimeNS
 		case telemetry.EventLeaseExpired:
 			story(ev).expiries++
 			w := wstat(ev.Worker)
-			delete(w.leased, cellID{ev.Campaign, ev.Cell}) // expiry: silent worker, not busy time
+			delete(w.leased, cellOf(ev)) // expiry: silent worker, not busy time
 		case telemetry.EventCellRetried:
 			story(ev).retries++
 		case telemetry.EventCellDone:
@@ -375,16 +379,24 @@ func analyzeEvents(path, resultsPath, campaign string, stdin io.Reader, stdout, 
 			s.doneNS = ev.TimeNS
 			s.worker = ev.Worker
 			s.samples = ev.Samples
+			session[ev.Campaign]++
 			if ev.Worker != "" {
 				w := wstat(ev.Worker)
 				w.cells++
-				if t, ok := w.leased[cellID{ev.Campaign, ev.Cell}]; ok {
+				if t, ok := w.leased[cellOf(ev)]; ok {
 					w.busyNS += ev.TimeNS - t
-					delete(w.leased, cellID{ev.Campaign, ev.Cell})
+					delete(w.leased, cellOf(ev))
 				}
 			}
 		case telemetry.EventCampaignDone:
 			doneEvent[ev.Campaign] = &evs[i]
+			// campaign_done counts at least the cells its session completed:
+			// a coordinator counts the whole grid, resumed cells included,
+			// and a local run its own session. Fewer means lost events.
+			if n := session[ev.Campaign]; ev.Detail == "" && ev.Cells < n {
+				complain("campaign %sdone event reports %d cells but the log records %d completions",
+					cellPrefix(ev.Campaign), ev.Cells, n)
+			}
 		}
 	}
 	multi := len(campaigns) > 1
@@ -399,23 +411,12 @@ func analyzeEvents(path, resultsPath, campaign string, stdin io.Reader, stdout, 
 	}
 
 	doneCells := 0
-	doneBy := make(map[string]int)
 	for _, s := range cells {
 		if s.dones > 1 {
-			complain("cell %s%d (%s/%s/%d-bit) completed %d times", cellPrefix(s.campaign), s.cell, s.comp, s.workload, s.faults, s.dones)
+			complain("cell %s%d (%s) completed %d times", cellPrefix(s.campaign), s.cell, cellName(s.key), s.dones)
 		}
 		if s.dones > 0 {
 			doneCells++
-			doneBy[s.campaign]++
-		}
-	}
-	for _, id := range sortedKeys(doneEvent) {
-		de := doneEvent[id]
-		// A resumed campaign legitimately reports more completed cells than
-		// this log saw finish; fewer means lost events.
-		if de.Detail == "" && de.Cells < doneBy[id] {
-			complain("campaign %sdone event reports %d cells but the log records %d completions",
-				cellPrefix(id), de.Cells, doneBy[id])
 		}
 	}
 
@@ -461,15 +462,19 @@ func analyzeEvents(path, resultsPath, campaign string, stdin io.Reader, stdout, 
 	fmt.Fprintln(stdout)
 
 	// Per-cell timelines, campaign-major then cell order.
-	order := make([]cellID, 0, len(cells))
-	for k := range cells {
-		order = append(order, k)
+	order := make([]*cellStory, 0, len(cells))
+	for _, s := range cells {
+		order = append(order, s)
 	}
 	sort.Slice(order, func(i, j int) bool {
-		if order[i].campaign != order[j].campaign {
-			return order[i].campaign < order[j].campaign
+		a, b := order[i], order[j]
+		switch {
+		case a.campaign != b.campaign:
+			return a.campaign < b.campaign
+		case a.cell != b.cell:
+			return a.cell < b.cell
 		}
-		return order[i].cell < order[j].cell
+		return cellName(a.key) < cellName(b.key)
 	})
 	if len(order) > 0 {
 		if multi {
@@ -480,8 +485,7 @@ func analyzeEvents(path, resultsPath, campaign string, stdin io.Reader, stdout, 
 		fmt.Fprintf(stdout, "%-5s %-8s %-13s %s %8s %8s %8s %9s  %s\n",
 			"cell", "comp", "workload", "k", "leases", "expired", "retried", "lifetime", "completed by")
 	}
-	for _, k := range order {
-		s := cells[k]
+	for _, s := range order {
 		life, by := "--", "--"
 		if s.dones > 0 {
 			if s.firstNS > 0 {
@@ -496,7 +500,7 @@ func analyzeEvents(path, resultsPath, campaign string, stdin io.Reader, stdout, 
 			fmt.Fprintf(stdout, "%-9s ", s.campaign)
 		}
 		fmt.Fprintf(stdout, "%-5d %-8s %-13s %d %8d %8d %8d %9s  %s\n",
-			s.cell, s.comp, s.workload, s.faults, s.leases, s.expiries, s.retries, life, by)
+			s.cell, s.key.Component, s.key.Workload, s.key.Faults, s.leases, s.expiries, s.retries, life, by)
 	}
 
 	// Per-worker utilization: share of the campaign span spent holding a
@@ -536,8 +540,8 @@ func analyzeEvents(path, resultsPath, campaign string, stdin io.Reader, stdout, 
 	if len(slow) > 0 {
 		fmt.Fprintln(stdout, "\nstragglers:")
 		for _, st := range slow {
-			fmt.Fprintf(stdout, "  cell %s%d %s/%s/%d-bit: %v (%d leases)\n",
-				cellPrefix(st.s.campaign), st.s.cell, st.s.comp, st.s.workload, st.s.faults,
+			fmt.Fprintf(stdout, "  cell %s%d %s: %v (%d leases)\n",
+				cellPrefix(st.s.campaign), st.s.cell, cellName(st.s.key),
 				time.Duration(st.life).Round(time.Millisecond), st.s.leases)
 		}
 	}
@@ -559,28 +563,26 @@ func analyzeEvents(path, resultsPath, campaign string, stdin io.Reader, stdout, 
 			if s.dones == 0 {
 				continue
 			}
-			key := core.CellKey{Component: s.comp, Workload: s.workload, Faults: s.faults}
-			res, ok := rs.Cells[key]
+			res, ok := rs.Cells[s.key]
 			switch {
 			case !ok:
-				complain("log says cell %d (%s/%s/%d-bit) completed, results file has no such cell",
-					s.cell, s.comp, s.workload, s.faults)
+				complain("log says cell %d (%s) completed, results file has no such cell",
+					s.cell, cellName(s.key))
 			case s.samples > 0 && res.Samples() != s.samples:
-				complain("cell %d (%s/%s/%d-bit): log recorded %d samples, results file has %d",
-					s.cell, s.comp, s.workload, s.faults, s.samples, res.Samples())
+				complain("cell %d (%s): log recorded %d samples, results file has %d",
+					s.cell, cellName(s.key), s.samples, res.Samples())
 			}
 		}
 		for key := range rs.Cells {
 			found := false
 			for _, s := range cells {
-				if s.dones > 0 && s.comp == key.Component && s.workload == key.Workload && s.faults == key.Faults {
+				if s.dones > 0 && s.key == key {
 					found = true
 					break
 				}
 			}
 			if !found {
-				complain("results file has %s/%s/%d-bit, log never recorded it completing",
-					key.Component, key.Workload, key.Faults)
+				complain("results file has %s, log never recorded it completing", cellName(key))
 			}
 		}
 		if bad == 0 {
@@ -593,6 +595,11 @@ func analyzeEvents(path, resultsPath, campaign string, stdin io.Reader, stdout, 
 		return 1
 	}
 	return 0
+}
+
+// cellName renders a cell coordinate as comp/workload/k-bit.
+func cellName(k core.CellKey) string {
+	return fmt.Sprintf("%s/%s/%d-bit", k.Component, k.Workload, k.Faults)
 }
 
 // cellPrefix renders a campaign id as a cell-label prefix; "" (a

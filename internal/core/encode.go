@@ -30,7 +30,10 @@ func (rs *ResultSet) UnmarshalJSON(data []byte) error {
 		return err
 	}
 	rs.Cells = make(map[CellKey]*Result, len(enc.Results))
-	for _, r := range enc.Results {
+	for i, r := range enc.Results {
+		if r == nil {
+			return fmt.Errorf("core: result %d is null", i)
+		}
 		rs.Add(r)
 	}
 	return nil

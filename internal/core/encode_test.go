@@ -70,6 +70,58 @@ func TestResultSetRoundTripExtensions(t *testing.T) {
 	}
 }
 
+// FuzzDecodeResultSet feeds arbitrary bytes to LoadResultSet, the decoder
+// a -resume run trusts with its -out file. It must never panic, and what it
+// accepts must re-encode stably: decode, Encode, decode, Encode yields the
+// same canonical bytes twice.
+func FuzzDecodeResultSet(f *testing.F) {
+	rs := NewResultSet()
+	prot := fakeResult(CompL1D, "sha", 2, 40, 7)
+	prot.Spec.Protect = Protection{Kind: ProtectSECDED, Interleave: 4}
+	prot.Spec.Cluster = ClusterSpec{Rows: 2, Cols: 4}
+	rs.Add(prot)
+	rs.Add(fakeResult(CompDTLB, "CRC32", 1, 60, 9))
+	data, err := rs.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	for _, seed := range []string{
+		`{"Results":[]}`, `{"Results":null}`, `{"Results":[null]}`, `{}`, `null`, `[]`, `{not json`,
+		// Two results for one cell: the later one wins.
+		`{"Results":[{"Spec":{"Component":"L1D","Workload":"sha","Faults":1}},{"Spec":{"Component":"L1D","Workload":"sha","Faults":1,"Samples":3}}]}`,
+		// A legacy file: no TargetBits, a short Counts array.
+		`{"Results":[{"Spec":{"Component":"L2","Workload":"qsort","Faults":3,"Samples":2},"Counts":[1,1]}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "results.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rs, err := LoadResultSet(path)
+		if err != nil {
+			return
+		}
+		first, err := rs.Encode()
+		if err != nil {
+			t.Fatalf("encoding a decoded result set: %v", err)
+		}
+		again := NewResultSet()
+		if err := json.Unmarshal(first, again); err != nil {
+			t.Fatalf("decoding its own encoding: %v\n%s", err, first)
+		}
+		second, err := again.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("encoding not stable:\n%s\nvs\n%s", first, second)
+		}
+	})
+}
+
 // TestLegacyTargetBitsFallback: files written before TargetBits existed
 // decode with TargetBits zero, and population() must fall back to the old
 // 1e6-bit approximation so old results keep their margins.

@@ -197,7 +197,7 @@ func TestSubmitSpecMismatchIsStale(t *testing.T) {
 		"protect":       func(s *core.Spec) { s.Protect = core.Protection{Kind: core.ProtectSECDED} },
 	}
 	for name, mut := range muts {
-		c, err := New(specs, nil, Options{})
+		c, err := newCoordinator(specs, nil, coordOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,14 +210,14 @@ func TestSubmitSpecMismatchIsStale(t *testing.T) {
 		if rep.Status != StatusStale {
 			t.Errorf("%s: mismatched submit = %q, want stale", name, rep.Status)
 		}
-		if c.Remaining() != 1 {
+		if c.pending != 1 {
 			t.Errorf("%s: mismatched submit completed the cell", name)
 		}
 	}
 
 	// The result a real worker records carries normalized defaults
 	// (Cluster, TimeoutFactor filled in); that must still be accepted.
-	c, err := New(specs, nil, Options{})
+	c, err := newCoordinator(specs, nil, coordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,7 @@
 package dispatch
 
 import (
-	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -13,8 +9,8 @@ import (
 	"mbusim/internal/telemetry"
 )
 
-// Options tunes a Coordinator. The zero value means the defaults below.
-type Options struct {
+// coordOptions tunes a Coordinator. The zero value means the defaults below.
+type coordOptions struct {
 	// LeaseTTL is how long a worker may go silent before its cell is
 	// reassigned. Workers heartbeat at TTL/3. Default 15s.
 	LeaseTTL time.Duration
@@ -22,26 +18,17 @@ type Options struct {
 	// pending queue (lease expiry or worker-reported failure) before the
 	// campaign fails naming that cell. Default 5.
 	MaxRetries int
-	// Tel, when non-nil, receives the dispatch gauges and counters plus
-	// the completed-cells counter.
+	// Tel, when non-nil, receives the per-cell dispatch counters (expired,
+	// retried, deduplicated, completed) and the cell events.
 	Tel *telemetry.Campaign
 	// OnCell, when non-nil, observes each newly completed cell.
 	// Invocations are serialized (callers may flush shared state without
 	// locking) and happen exactly once per cell — a deduplicated
 	// resubmission does not re-fire it.
 	OnCell func(cell int, res *core.Result)
-	// Campaign labels every event this coordinator emits with a campaign id,
-	// so a shared event log (campaign service) stays attributable per
-	// campaign. Empty on a one-shot coordinator.
+	// Campaign labels every event this coordinator emits with its campaign
+	// id, so the service's shared event log stays attributable per campaign.
 	Campaign string
-
-	// sharedFleet marks a coordinator owned by a multi-campaign Service:
-	// the service tracks the worker fleet and the fleet-wide gauges itself
-	// (several coordinators share one registry, and each setting the gauge
-	// to its own private count would fight the others), so this coordinator
-	// skips the worker join/leave events, the workers-seen counter and the
-	// live-worker/leased-cell gauges.
-	sharedFleet bool
 }
 
 const (
@@ -67,41 +54,38 @@ type lease struct {
 	deadline time.Time
 }
 
-// Coordinator owns the canonical ResultSet of a distributed campaign and
-// hands out leases on its pending cells. All state transitions happen
-// under one mutex; the HTTP handlers, the expiry sweep and Wait share it.
+// Coordinator is one campaign's cell table inside a Service: it owns the
+// campaign's canonical ResultSet and its specs, cell states, leases,
+// retries and cell events. The service owns everything fleet-wide — HTTP,
+// the worker set, federation, the sweep loop and the fleet gauges — and
+// makes every call into its coordinators under its one lock, so a
+// coordinator has none of its own.
 type Coordinator struct {
-	opts Options
+	opts coordOptions
 
-	mu       sync.Mutex
 	specs    []core.Spec
 	rs       *core.ResultSet
 	state    []cellState
 	retries  []int
 	lastErr  []string // last worker-reported failure per cell
 	leases   map[uint64]*lease
-	workers  map[string]time.Time // worker -> last contact
-	joined   map[string]bool      // worker ids ever seen (join events fire once)
 	nextID   uint64
 	pending  int // cells not yet done
 	failErr  error
 	finished sync.Once
 	done     chan struct{}
 
-	// fed merges the metric snapshots workers piggyback on heartbeats and
-	// submits into the coordinator's registry (per-worker + fleet labels).
-	fed *telemetry.Federator
-
 	// now is the coordinator's clock, swappable so tests drive lease
-	// expiry deterministically without sleeping.
+	// expiry deterministically without sleeping; a Service points it at
+	// its own clock.
 	now func() time.Time
 }
 
-// New builds a coordinator for the grid. rs is the canonical result set —
-// pre-load it from a results file to resume: every cell it already Covers
-// is marked done and never handed out, exactly like single-process
-// -resume. New validates every spec up front.
-func New(specs []core.Spec, rs *core.ResultSet, opts Options) (*Coordinator, error) {
+// newCoordinator builds the cell table for a campaign's grid. rs is the
+// canonical result set — pre-loaded from a results file to resume: every
+// cell it already Covers is marked done and never handed out, exactly like
+// single-process -resume. It validates every spec up front.
+func newCoordinator(specs []core.Spec, rs *core.ResultSet, opts coordOptions) (*Coordinator, error) {
 	for _, s := range specs {
 		if err := s.Validate(); err != nil {
 			return nil, err
@@ -116,10 +100,6 @@ func New(specs []core.Spec, rs *core.ResultSet, opts Options) (*Coordinator, err
 	if rs == nil {
 		rs = core.NewResultSet()
 	}
-	var reg *telemetry.Registry
-	if opts.Tel != nil {
-		reg = opts.Tel.Registry
-	}
 	c := &Coordinator{
 		opts:    opts,
 		specs:   specs,
@@ -128,11 +108,8 @@ func New(specs []core.Spec, rs *core.ResultSet, opts Options) (*Coordinator, err
 		retries: make([]int, len(specs)),
 		lastErr: make([]string, len(specs)),
 		leases:  make(map[uint64]*lease),
-		workers: make(map[string]time.Time),
-		joined:  make(map[string]bool),
 		done:    make(chan struct{}),
 		now:     time.Now,
-		fed:     telemetry.NewFederator(reg),
 	}
 	for i, s := range specs {
 		if rs.Covers(s) {
@@ -147,26 +124,12 @@ func New(specs []core.Spec, rs *core.ResultSet, opts Options) (*Coordinator, err
 	return c, nil
 }
 
-// Remaining returns how many cells are not yet complete.
-func (c *Coordinator) Remaining() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.pending
-}
-
-// Results returns the coordinator's canonical result set. The caller must
-// not mutate it while the campaign runs; the OnCell callback is the
-// serialized point to read or persist it.
-func (c *Coordinator) Results() *core.ResultSet { return c.rs }
-
 // Done is closed when the campaign completes or fails; Err then reports
 // the terminal error (nil on success).
 func (c *Coordinator) Done() <-chan struct{} { return c.done }
 
 // Err returns the terminal campaign error, if any.
 func (c *Coordinator) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.failErr
 }
 
@@ -180,47 +143,7 @@ func (c *Coordinator) cellEvent(typ string, cell int) telemetry.Event {
 		Comp: s.Component, Workload: s.Workload, Faults: s.Faults}
 }
 
-// touchWorkerLocked records contact from a worker, emitting worker_join
-// the first time an id is ever seen. Callers hold mu.
-func (c *Coordinator) touchWorkerLocked(worker string) {
-	c.workers[worker] = c.now()
-	if !c.joined[worker] {
-		c.joined[worker] = true
-		if !c.opts.sharedFleet {
-			c.opts.Tel.DispatchWorkerSeen()
-			c.emit(telemetry.Event{Type: telemetry.EventWorkerJoin, Worker: worker, Cell: -1})
-		}
-	}
-}
-
-// dropWorkerLocked removes a worker from the live set, emitting
-// worker_leave with the reason. Callers hold mu.
-func (c *Coordinator) dropWorkerLocked(worker, why string) {
-	if _, ok := c.workers[worker]; !ok {
-		return
-	}
-	delete(c.workers, worker)
-	c.setWorkersGauge()
-	if !c.opts.sharedFleet {
-		c.emit(telemetry.Event{Type: telemetry.EventWorkerLeave, Worker: worker, Cell: -1, Detail: why})
-	}
-}
-
-// setWorkersGauge and setLeasedGauge publish the fleet gauges, unless a
-// Service owns the fleet view. Callers hold mu.
-func (c *Coordinator) setWorkersGauge() {
-	if !c.opts.sharedFleet {
-		c.opts.Tel.SetDispatchWorkers(int64(len(c.workers)))
-	}
-}
-
-func (c *Coordinator) setLeasedGauge() {
-	if !c.opts.sharedFleet {
-		c.opts.Tel.SetDispatchLeased(int64(len(c.leases)))
-	}
-}
-
-// finish closes done exactly once. Callers hold mu (or are in New).
+// finish closes done exactly once.
 func (c *Coordinator) finish(err error) {
 	if err != nil && c.failErr == nil {
 		c.failErr = err
@@ -236,37 +159,12 @@ func (c *Coordinator) finish(err error) {
 	})
 }
 
-// Wait runs the lease-expiry sweeper until the campaign completes or ctx
-// is cancelled, returning the campaign's terminal error (nil on success,
-// ctx.Err() on cancellation — the results accepted so far stay valid and a
-// restarted coordinator resumes from them).
-func (c *Coordinator) Wait(ctx context.Context) error {
-	tick := time.NewTicker(c.opts.LeaseTTL / 4)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-c.done:
-			return c.Err()
-		case <-tick.C:
-			c.Sweep()
-		}
-	}
-}
-
 // Sweep expires every lease whose worker has gone silent past the TTL,
-// returning expired cells to the pending queue (burning one retry each),
-// and refreshes the live-worker and leased-cell gauges. Wait calls it
-// every TTL/4; handlers call it opportunistically so a single-threaded
-// test can drive expiry by advancing the clock.
+// returning expired cells to the pending queue (burning one retry each).
+// The service's sweep loop calls it every TTL/4, and lease calls it
+// opportunistically so a single-threaded test can drive expiry by
+// advancing the clock.
 func (c *Coordinator) Sweep() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sweepLocked()
-}
-
-func (c *Coordinator) sweepLocked() {
 	now := c.now()
 	for id, l := range c.leases {
 		if now.After(l.deadline) {
@@ -277,16 +175,9 @@ func (c *Coordinator) sweepLocked() {
 			ev.Lease = id
 			ev.Detail = "worker went silent past TTL"
 			c.emit(ev)
-			c.requeueLocked(l.cell, fmt.Sprintf("lease %d on worker %s expired", id, l.worker))
+			c.requeue(l.cell, fmt.Sprintf("lease %d on worker %s expired", id, l.worker))
 		}
 	}
-	for w, last := range c.workers {
-		if now.Sub(last) > workerLiveWindow*c.opts.LeaseTTL {
-			c.dropWorkerLocked(w, "silent past live window")
-		}
-	}
-	c.setWorkersGauge()
-	c.setLeasedGauge()
 }
 
 // Release returns every leased cell to the pending queue WITHOUT charging
@@ -296,46 +187,36 @@ func (c *Coordinator) sweepLocked() {
 // as StatusExpired on their next heartbeat and answer by cancelling the
 // cell mid-run (the same path as a reassigned lease).
 func (c *Coordinator) Release() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for id, l := range c.leases {
 		delete(c.leases, id)
 		if c.state[l.cell] == cellLeased {
 			c.state[l.cell] = cellPending
 		}
 	}
-	c.setLeasedGauge()
 }
 
 // Stats is a point-in-time snapshot of one coordinator's progress for the
 // campaign-service status API.
 type Stats struct {
-	Cells   int    // grid size
-	Done    int    // cells complete
-	Leased  int    // cells currently out on lease
-	Retries int    // retry charges across all cells so far
-	Err     string // terminal error, when failed
+	Done    int // cells complete
+	Leased  int // cells currently out on lease
+	Retries int // retry charges across all cells so far
 }
 
 // Stats snapshots the coordinator's progress counters.
 func (c *Coordinator) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := Stats{Cells: len(c.specs), Done: len(c.specs) - c.pending, Leased: len(c.leases)}
+	s := Stats{Done: len(c.specs) - c.pending, Leased: len(c.leases)}
 	for _, r := range c.retries {
 		s.Retries += r
-	}
-	if c.failErr != nil {
-		s.Err = c.failErr.Error()
 	}
 	return s
 }
 
-// requeueLocked puts a leased cell back in the pending queue, charging one
+// requeue puts a leased cell back in the pending queue, charging one
 // retry; a cell over budget fails the whole campaign (deterministic specs
 // mean the next attempt would fail the same way — better to stop and name
 // the cell than to churn forever).
-func (c *Coordinator) requeueLocked(cell int, why string) {
+func (c *Coordinator) requeue(cell int, why string) {
 	if c.state[cell] != cellLeased {
 		return
 	}
@@ -357,112 +238,9 @@ func (c *Coordinator) requeueLocked(cell int, why string) {
 	}
 }
 
-// Mux returns the coordinator's HTTP handler with the four protocol
-// endpoints registered. Callers may add more routes (e.g. the telemetry
-// /metrics handler) before serving it.
-func (c *Coordinator) Mux() *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc(PathLease, handle(c.lease))
-	mux.HandleFunc(PathHeartbeat, handle(c.heartbeat))
-	mux.HandleFunc(PathSubmit, handle(c.submit))
-	mux.HandleFunc(PathAbandon, handle(c.abandon))
-	mux.HandleFunc(PathEvents, eventsHandler(c.opts.Tel, ""))
-	return mux
-}
-
-// maxEventWait caps how long one /dispatch/events long-poll may hang; the
-// client just re-polls with the same since on an empty body.
-const maxEventWait = 30 * time.Second
-
-// eventsHandler serves GET ?since=<seq>[&wait=<dur>]: JSONL of every event
-// with Seq > since, long-polling up to wait (default 10s) when none exist
-// yet. 404 when no event log is attached. A non-empty campaign filters the
-// stream to that campaign's events — the long-poll keeps draining the
-// shared log until a matching event arrives or the wait expires, advancing
-// the caller's cursor past the non-matching ones either way.
-func eventsHandler(tel *telemetry.Campaign, campaign string) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		var log *telemetry.EventLog
-		if tel != nil {
-			log = tel.Events
-		}
-		if log == nil {
-			http.Error(w, "event log disabled", http.StatusNotFound)
-			return
-		}
-		var since uint64
-		if s := r.URL.Query().Get("since"); s != "" {
-			v, err := strconv.ParseUint(s, 10, 64)
-			if err != nil {
-				http.Error(w, "bad since: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			since = v
-		}
-		wait := 10 * time.Second
-		if s := r.URL.Query().Get("wait"); s != "" {
-			d, err := time.ParseDuration(s)
-			if err != nil {
-				http.Error(w, "bad wait: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			wait = min(d, maxEventWait)
-		}
-		deadline := time.Now().Add(wait)
-		var out []telemetry.Event
-		for {
-			evs := log.WaitSince(r.Context(), since, time.Until(deadline))
-			for _, ev := range evs {
-				since = ev.Seq
-				if campaign == "" || ev.Campaign == campaign {
-					out = append(out, ev)
-				}
-			}
-			if len(out) > 0 || len(evs) == 0 || !time.Now().Before(deadline) {
-				break
-			}
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		for _, ev := range out {
-			if err := enc.Encode(ev); err != nil {
-				return
-			}
-		}
-	}
-}
-
-// handle adapts a typed request/reply function to an http.HandlerFunc.
-func handle[Req, Rep any](f func(*Req) *Rep) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		var req Req
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(f(&req))
-	}
-}
-
 func (c *Coordinator) lease(req *LeaseRequest) *LeaseReply {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.sweepLocked()
-	c.touchWorkerLocked(req.Worker)
-	c.setWorkersGauge()
+	c.Sweep()
 	if c.pending == 0 || c.failErr != nil {
-		// The worker is leaving: drop it from the live set so Drain knows
-		// when every tail worker has been told the campaign is over.
-		c.dropWorkerLocked(req.Worker, "campaign over")
 		return &LeaseReply{Status: StatusDone}
 	}
 	for i, st := range c.state {
@@ -474,7 +252,6 @@ func (c *Coordinator) lease(req *LeaseRequest) *LeaseReply {
 			deadline: c.now().Add(c.opts.LeaseTTL)}
 		c.leases[l.id] = l
 		c.state[i] = cellLeased
-		c.setLeasedGauge()
 		ev := c.cellEvent(telemetry.EventCellLeased, i)
 		ev.Worker = req.Worker
 		ev.Lease = l.id
@@ -491,15 +268,6 @@ func (c *Coordinator) lease(req *LeaseRequest) *LeaseReply {
 }
 
 func (c *Coordinator) heartbeat(req *HeartbeatRequest) *HeartbeatReply {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.touchWorkerLocked(req.Worker)
-	if !c.opts.sharedFleet {
-		// In service mode one Federator (the Service's) must difference each
-		// worker's absolute snapshots; per-coordinator federators would each
-		// diff against their own stale view and double-count the fleet.
-		c.fed.Merge(req.Worker, req.Metrics)
-	}
 	l, ok := c.leases[req.LeaseID]
 	if !ok || l.worker != req.Worker {
 		return &HeartbeatReply{Status: StatusExpired}
@@ -513,8 +281,6 @@ func (c *Coordinator) heartbeat(req *HeartbeatRequest) *HeartbeatReply {
 }
 
 func (c *Coordinator) abandon(req *AbandonRequest) *AbandonReply {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	l, ok := c.leases[req.LeaseID]
 	if !ok || l.worker != req.Worker {
 		return &AbandonReply{Status: StatusExpired}
@@ -525,32 +291,16 @@ func (c *Coordinator) abandon(req *AbandonRequest) *AbandonReply {
 	if c.state[l.cell] == cellLeased {
 		c.state[l.cell] = cellPending
 	}
-	c.setLeasedGauge()
 	return &AbandonReply{Status: StatusOK}
 }
 
-func (c *Coordinator) submit(req *SubmitRequest) (rep *SubmitReply) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.touchWorkerLocked(req.Worker)
-	if !c.opts.sharedFleet {
-		c.fed.Merge(req.Worker, req.Metrics)
-	}
-	// Any reply carrying CampaignDone sends the worker away: drop it from
-	// the live set so Drain can tell when the fleet has been notified.
-	defer func() {
-		if rep.CampaignDone {
-			c.dropWorkerLocked(req.Worker, "campaign over")
-		}
-	}()
-
+func (c *Coordinator) submit(req *SubmitRequest) *SubmitReply {
 	// Resolve the cell: through the live lease when it still exists,
 	// otherwise through the echoed cell index (the expired-lease case).
 	cell := -1
 	if l, ok := c.leases[req.LeaseID]; ok && l.worker == req.Worker {
 		cell = l.cell
 		delete(c.leases, req.LeaseID)
-		c.setLeasedGauge()
 	} else if req.Cell >= 0 && req.Cell < len(c.specs) {
 		cell = req.Cell
 	}
@@ -564,20 +314,20 @@ func (c *Coordinator) submit(req *SubmitRequest) (rep *SubmitReply) {
 		if c.state[cell] == cellPending {
 			// The lease already expired and the sweep requeued it; don't
 			// double-charge.
-			return &SubmitReply{Status: StatusOK, CampaignDone: c.overLocked()}
+			return &SubmitReply{Status: StatusOK}
 		}
-		c.requeueLocked(cell, "worker "+req.Worker+" reported failure")
-		return &SubmitReply{Status: StatusOK, CampaignDone: c.overLocked()}
+		c.requeue(cell, "worker "+req.Worker+" reported failure")
+		return &SubmitReply{Status: StatusOK}
 	}
 
 	if req.Result == nil {
-		return &SubmitReply{Status: StatusStale, CampaignDone: c.overLocked()}
+		return &SubmitReply{Status: StatusStale}
 	}
 	if c.state[cell] == cellDone {
 		// A slow worker re-delivering a cell that was reassigned and
 		// completed elsewhere: idempotent no-op.
 		c.opts.Tel.DispatchSubmitDeduped()
-		return &SubmitReply{Status: StatusDuplicate, CampaignDone: c.overLocked()}
+		return &SubmitReply{Status: StatusDuplicate}
 	}
 	// Verify the result actually answers this cell's spec, on the same
 	// identity the resume logic uses (core.Spec.Equivalent): every
@@ -600,7 +350,6 @@ func (c *Coordinator) submit(req *SubmitRequest) (rep *SubmitReply) {
 			delete(c.leases, id)
 		}
 	}
-	c.setLeasedGauge()
 	c.rs.Add(req.Result)
 	c.state[cell] = cellDone
 	c.pending--
@@ -622,40 +371,5 @@ func (c *Coordinator) submit(req *SubmitRequest) (rep *SubmitReply) {
 	if c.pending == 0 {
 		c.finish(nil)
 	}
-	return &SubmitReply{Status: StatusAccepted, CampaignDone: c.overLocked()}
-}
-
-// overLocked reports whether the campaign is over (complete or failed).
-// Callers hold mu.
-func (c *Coordinator) overLocked() bool {
-	return c.pending == 0 || c.failErr != nil
-}
-
-// Drain keeps the campaign's endgame orderly: it blocks until every worker
-// still in the live set has been told the campaign is over (workers leave
-// the set when a lease or final submit is answered with done), or until
-// timeout/ctx expires. Serving through this window lets tail workers —
-// those waiting out the StatusWait cadence while someone else ran the last
-// cell — learn the campaign's fate instead of finding a closed port and
-// retrying into their MaxDowntime.
-func (c *Coordinator) Drain(ctx context.Context, timeout time.Duration) {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	tick := time.NewTicker(20 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		c.mu.Lock()
-		n := len(c.workers)
-		c.mu.Unlock()
-		if n == 0 {
-			return
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-deadline.C:
-			return
-		case <-tick.C:
-		}
-	}
+	return &SubmitReply{Status: StatusAccepted}
 }

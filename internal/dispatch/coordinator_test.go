@@ -9,8 +9,9 @@ import (
 	"mbusim/internal/telemetry"
 )
 
-// protoGrid returns a small real grid (validated by New) without needing
-// to simulate anything: protocol tests fabricate matching Results by hand.
+// protoGrid returns a small real grid (validated by newCoordinator) without
+// needing to simulate anything: protocol tests fabricate matching Results
+// by hand.
 func protoGrid(n int) []core.Spec {
 	specs := make([]core.Spec, n)
 	for i := range specs {
@@ -45,7 +46,7 @@ func counter(tel *telemetry.Campaign, name string) int64 {
 func TestLeaseExpiryReassignsCell(t *testing.T) {
 	tel := telemetry.NewCampaign(nil)
 	specs := protoGrid(1)
-	c, err := New(specs, nil, Options{LeaseTTL: time.Minute, Tel: tel})
+	c, err := newCoordinator(specs, nil, coordOptions{LeaseTTL: time.Minute, Tel: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestLeaseExpiryReassignsCell(t *testing.T) {
 }
 
 func TestHeartbeatExtendsLease(t *testing.T) {
-	c, err := New(protoGrid(1), nil, Options{LeaseTTL: time.Minute})
+	c, err := newCoordinator(protoGrid(1), nil, coordOptions{LeaseTTL: time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestDuplicateSubmitFiresOnCellOnce(t *testing.T) {
 	tel := telemetry.NewCampaign(nil)
 	specs := protoGrid(1)
 	fired := 0
-	c, err := New(specs, nil, Options{Tel: tel,
+	c, err := newCoordinator(specs, nil, coordOptions{Tel: tel,
 		OnCell: func(cell int, res *core.Result) { fired++ }})
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +160,7 @@ func TestDuplicateSubmitFiresOnCellOnce(t *testing.T) {
 
 func TestRetryBudgetExhaustionFailsCampaign(t *testing.T) {
 	specs := protoGrid(2)
-	c, err := New(specs, nil, Options{MaxRetries: 2})
+	c, err := newCoordinator(specs, nil, coordOptions{MaxRetries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,12 +194,12 @@ func TestCoordinatorResumesFromResultSet(t *testing.T) {
 	specs := protoGrid(2)
 	rs := core.NewResultSet()
 	rs.Add(fakeResult(specs[0]))
-	c, err := New(specs, rs, Options{})
+	c, err := newCoordinator(specs, rs, coordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Remaining(); got != 1 {
-		t.Fatalf("Remaining = %d, want 1 (one cell covered)", got)
+	if got := c.pending; got != 1 {
+		t.Fatalf("pending = %d, want 1 (one cell covered)", got)
 	}
 	l := c.lease(&LeaseRequest{Worker: "w1"})
 	if l.Status != StatusLease || l.Cell != 1 {
@@ -215,7 +216,7 @@ func TestCoordinatorResumesFromResultSet(t *testing.T) {
 	}
 
 	// A coordinator restarted over the completed set has nothing to do.
-	c2, err := New(specs, c.Results(), Options{})
+	c2, err := newCoordinator(specs, c.rs, coordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +232,7 @@ func TestCoordinatorResumesFromResultSet(t *testing.T) {
 
 func TestStaleSubmitDiscarded(t *testing.T) {
 	specs := protoGrid(1)
-	c, err := New(specs, nil, Options{})
+	c, err := newCoordinator(specs, nil, coordOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestStaleSubmitDiscarded(t *testing.T) {
 
 func TestAbandonRequeuesWithoutRetry(t *testing.T) {
 	tel := telemetry.NewCampaign(nil)
-	c, err := New(protoGrid(1), nil, Options{Tel: tel})
+	c, err := newCoordinator(protoGrid(1), nil, coordOptions{Tel: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,14 +279,12 @@ func TestAbandonRequeuesWithoutRetry(t *testing.T) {
 }
 
 func TestLiveWorkerGaugeTracksContact(t *testing.T) {
-	tel := telemetry.NewCampaign(nil)
-	c, err := New(protoGrid(3), nil, Options{LeaseTTL: time.Minute, Tel: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	advance := clockFor(c)
-	c.lease(&LeaseRequest{Worker: "w1"})
-	c.lease(&LeaseRequest{Worker: "w2"})
+	svc, tel, _ := newTestService(t, t.TempDir(), ServiceOptions{LeaseTTL: time.Minute})
+	advance := svcClockFor(svc)
+	submitLocal(t, svc, protoGrid(3))
+	mux := svc.Mux()
+	serve(t, mux, PathLease, &LeaseRequest{Worker: "w1"}, nil)
+	serve(t, mux, PathLease, &LeaseRequest{Worker: "w2"}, nil)
 	if got := tel.Registry.Gauge(telemetry.MetricDispatchWorkers).Value(); got != 2 {
 		t.Fatalf("live workers = %d, want 2", got)
 	}
@@ -295,7 +294,7 @@ func TestLiveWorkerGaugeTracksContact(t *testing.T) {
 	// Both go silent: past the live window they drop off the gauge (and
 	// their cells are reclaimed).
 	advance(4 * time.Minute)
-	c.Sweep()
+	svc.Sweep()
 	if got := tel.Registry.Gauge(telemetry.MetricDispatchWorkers).Value(); got != 0 {
 		t.Fatalf("live workers after silence = %d, want 0", got)
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -40,9 +39,10 @@ func rawLease(t *testing.T, url, worker string) *LeaseReply {
 
 // TestChaosEquivalence is the package's acceptance test: a worker dies
 // holding a lease, a second worker completes the campaign after the lease
-// expires, and the coordinator's final ResultSet is byte-identical
-// (canonical Encode) to an uninterrupted single-process run of the same
-// grid.
+// expires, and the campaign's final ResultSet is byte-identical (canonical
+// Encode) to an uninterrupted single-process run of the same grid. The
+// service runs it the way a one-shot grid does: submitted in-process, then
+// drained, which sends the survivor home.
 func TestChaosEquivalence(t *testing.T) {
 	specs := e2eGrid()
 
@@ -58,18 +58,15 @@ func TestChaosEquivalence(t *testing.T) {
 	}
 
 	// Distributed: short TTL so the dead worker's lease expires quickly.
-	tel := telemetry.NewCampaign(nil)
-	coord, err := New(specs, nil, Options{LeaseTTL: 300 * time.Millisecond, Tel: tel})
+	svc, tel, srv := newTestService(t, t.TempDir(), ServiceOptions{LeaseTTL: 300 * time.Millisecond})
+	rs := core.NewResultSet()
+	info, _, err := svc.Submit(&SubmitCampaignRequest{Specs: specs}, rs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(coord.Mux())
-	defer srv.Close()
-
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	waitErr := make(chan error, 1)
-	go func() { waitErr <- coord.Wait(ctx) }()
+	go svc.Run(ctx)
 
 	// The victim: leases cell 0 and is never heard from again.
 	if rep := rawLease(t, srv.URL, "victim"); rep.Status != StatusLease {
@@ -80,14 +77,18 @@ func TestChaosEquivalence(t *testing.T) {
 	// victim's cell once its lease expires.
 	w := &Worker{ID: "survivor", URL: srv.URL,
 		Backoff: Backoff{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond}}
-	if err := w.Run(ctx); err != nil {
+	survivor := make(chan error, 1)
+	go func() { survivor <- w.Run(ctx) }()
+	final, err := svc.Wait(ctx, info.ID)
+	if err != nil || final.State != StateDone {
+		t.Fatalf("coordinator: %v (%+v)", err, final)
+	}
+	svc.Drain(ctx, 5*time.Second)
+	if err := <-survivor; err != nil {
 		t.Fatalf("survivor worker: %v", err)
 	}
-	if err := <-waitErr; err != nil {
-		t.Fatalf("coordinator: %v", err)
-	}
 
-	got, err := coord.Results().Encode()
+	got, err := rs.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,6 +103,13 @@ func TestChaosEquivalence(t *testing.T) {
 	}
 }
 
+// coordOf returns the cell table behind one of the service's campaigns.
+func coordOf(svc *Service, id string) *Coordinator {
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	return svc.campaigns[id].coord
+}
+
 // TestWorkerDrainAbandonsLease: a cancelled worker hands its in-flight
 // cell back to the coordinator instead of letting the TTL expire it, and
 // the hand-back does not burn a retry.
@@ -109,12 +117,8 @@ func TestWorkerDrainAbandonsLease(t *testing.T) {
 	// One big cell the worker cannot possibly finish before we cancel it.
 	specs := []core.Spec{{Workload: "stringSearch", Component: core.CompL1D,
 		Faults: 1, Samples: 100000, Seed: 3}}
-	coord, err := New(specs, nil, Options{LeaseTTL: time.Minute})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Mux())
-	defer srv.Close()
+	svc, _, srv := newTestService(t, t.TempDir(), ServiceOptions{LeaseTTL: time.Minute})
+	coord := coordOf(svc, submitLocal(t, svc, specs))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &Worker{ID: "drainer", URL: srv.URL}
@@ -124,9 +128,9 @@ func TestWorkerDrainAbandonsLease(t *testing.T) {
 	// Wait until the worker holds the lease, then pull the plug.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		coord.mu.Lock()
+		svc.mu.Lock()
 		leased := len(coord.leases) == 1
-		coord.mu.Unlock()
+		svc.mu.Unlock()
 		if leased {
 			break
 		}
@@ -142,8 +146,8 @@ func TestWorkerDrainAbandonsLease(t *testing.T) {
 
 	// The abandon hand-back is synchronous within Run's return, so the
 	// cell is already pending again, with no retry charged.
-	coord.mu.Lock()
-	defer coord.mu.Unlock()
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
 	if coord.state[0] != cellPending {
 		t.Fatalf("cell state after drain = %d, want pending", coord.state[0])
 	}
@@ -156,34 +160,39 @@ func TestWorkerDrainAbandonsLease(t *testing.T) {
 }
 
 // TestWorkerReportsCellFailure: a cell that fails on the worker (here: an
-// invalid spec smuggled past New) is reported, charged against the retry
-// budget, and eventually fails the campaign, which the worker observes as
-// a normal done.
+// invalid spec smuggled past admission) is reported, charged against the
+// retry budget, and eventually fails the campaign; once the service
+// drains, the worker observes that as a normal done.
 func TestWorkerReportsCellFailure(t *testing.T) {
 	specs := e2eGrid()
-	coord, err := New(specs, nil, Options{LeaseTTL: time.Minute, MaxRetries: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc, _, srv := newTestService(t, t.TempDir(), ServiceOptions{LeaseTTL: time.Minute, MaxRetries: 1})
+	id := submitLocal(t, svc, specs)
+	coord := coordOf(svc, id)
 	// Sabotage cell 0 after validation: ForceSpanning with 1-bit faults in
 	// the default 3x3 cluster can never produce a spanning mask, so every
 	// sample errors out — the deterministic poisoned-cell case.
+	svc.mu.Lock()
 	coord.specs[0].ForceSpanning = true
+	svc.mu.Unlock()
 
-	srv := httptest.NewServer(coord.Mux())
-	defer srv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	waitErr := make(chan error, 1)
-	go func() { waitErr <- coord.Wait(ctx) }()
-
+	go svc.Run(ctx)
 	w := &Worker{ID: "w1", URL: srv.URL,
 		Backoff: Backoff{Base: 20 * time.Millisecond, Max: 200 * time.Millisecond}}
-	if err := w.Run(ctx); err != nil {
+	workerErr := make(chan error, 1)
+	go func() { workerErr <- w.Run(ctx) }()
+	final, err := svc.Wait(ctx, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Drain(ctx, 5*time.Second)
+	if err := <-workerErr; err != nil {
 		t.Fatalf("worker should end cleanly on campaign failure, got %v", err)
 	}
-	err = <-waitErr
-	if err == nil || coord.Err() == nil {
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	if final.State != StateFailed || coord.Err() == nil {
 		t.Fatal("campaign should have failed on the poisoned cell")
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -31,37 +32,58 @@ func eventTypes(evs []telemetry.Event) []string {
 	return out
 }
 
+// TestCoordinatorEmitsLifecycleEvents: the fleet and cell story of one
+// chaos episode, as the service logs it. The service's own campaign
+// lifecycle events (campaign_queued, campaign_start, campaign_state)
+// interleave with it; everything else must read exactly in this order.
 func TestCoordinatorEmitsLifecycleEvents(t *testing.T) {
 	specs := protoGrid(1)
-	tel := eventTel()
-	c, err := New(specs, nil, Options{LeaseTTL: time.Second, Tel: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	advance := clockFor(c)
+	svc, tel, _ := newTestService(t, t.TempDir(), ServiceOptions{LeaseTTL: time.Second})
+	advance := svcClockFor(svc)
+	id := submitLocal(t, svc, specs)
+	mux := svc.FleetMux()
 
 	// Victim leases the cell, heartbeats once, then goes silent past TTL.
-	rep := c.lease(&LeaseRequest{Worker: "victim"})
+	var rep LeaseReply
+	serve(t, mux, PathLease, &LeaseRequest{Worker: "victim"}, &rep)
 	if rep.Status != StatusLease {
 		t.Fatalf("lease = %+v", rep)
 	}
-	c.heartbeat(&HeartbeatRequest{Worker: "victim", LeaseID: rep.LeaseID})
+	serve(t, mux, PathHeartbeat, &HeartbeatRequest{Worker: "victim", LeaseID: rep.LeaseID, Campaign: id}, nil)
 	// Past the lease TTL and the 3-TTL live window: one sweep expires the
 	// lease AND prunes the silent worker.
 	advance(4 * time.Second)
-	c.Sweep()
+	svc.Sweep()
 
-	// Survivor takes over and completes it.
-	rep2 := c.lease(&LeaseRequest{Worker: "survivor"})
+	// Survivor takes over and completes it; the drain a one-shot grid ends
+	// with sends it home on that submit.
+	var rep2 LeaseReply
+	serve(t, mux, PathLease, &LeaseRequest{Worker: "survivor"}, &rep2)
 	if rep2.Status != StatusLease || rep2.Cell != rep.Cell {
 		t.Fatalf("release = %+v", rep2)
 	}
-	if got := c.submit(&SubmitRequest{Worker: "survivor", LeaseID: rep2.LeaseID,
-		Cell: rep2.Cell, Result: fakeResult(specs[0])}); got.Status != StatusAccepted {
+	svc.Drain(context.Background(), 0)
+	var got SubmitReply
+	serve(t, mux, PathSubmit, &SubmitRequest{Worker: "survivor", LeaseID: rep2.LeaseID,
+		Campaign: id, Cell: rep2.Cell, Result: fakeResult(specs[0])}, &got)
+	if got.Status != StatusAccepted || !got.CampaignDone {
 		t.Fatalf("submit = %+v", got)
 	}
 
-	evs := tel.Events.Since(0)
+	all := tel.Events.Since(0)
+	for i, ev := range all {
+		if ev.Seq != uint64(i+1) {
+			t.Fatalf("event %d seq = %d: %+v", i, ev.Seq, ev)
+		}
+	}
+	var evs []telemetry.Event
+	for _, ev := range all {
+		switch ev.Type {
+		case telemetry.EventCampaignQueued, telemetry.EventCampaignStart, telemetry.EventCampaignState:
+		default:
+			evs = append(evs, ev)
+		}
+	}
 	want := []string{
 		telemetry.EventWorkerJoin,   // victim
 		telemetry.EventCellLeased,   // victim takes cell 0
@@ -75,14 +97,8 @@ func TestCoordinatorEmitsLifecycleEvents(t *testing.T) {
 		telemetry.EventCampaignDone, // last cell: campaign over
 		telemetry.EventWorkerLeave,  // survivor told to go home
 	}
-	got := eventTypes(evs)
-	if strings.Join(got, ",") != strings.Join(want, ",") {
+	if got := eventTypes(evs); strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Fatalf("event sequence:\n got %v\nwant %v", got, want)
-	}
-	for i, ev := range evs {
-		if ev.Seq != uint64(i+1) {
-			t.Fatalf("event %d seq = %d: %+v", i, ev.Seq, ev)
-		}
 	}
 
 	// Cell-scoped events carry the spec identity; the retry carries blame.
@@ -108,24 +124,66 @@ func TestCoordinatorEmitsLifecycleEvents(t *testing.T) {
 	}
 }
 
-func TestHeartbeatAndSubmitFederateMetrics(t *testing.T) {
-	specs := protoGrid(1)
-	tel := telemetry.NewCampaign(nil)
-	c, err := New(specs, nil, Options{Tel: tel})
+// TestServiceEmitsCampaignStart: the service opens each campaign's slice
+// of the log with campaign_start, carrying the campaign id and the number
+// of cells left to run — before the coordinator of a grid its results
+// already cover reports campaign_done.
+func TestServiceEmitsCampaignStart(t *testing.T) {
+	specs := protoGrid(3)
+	svc, tel, _ := newTestService(t, t.TempDir(), ServiceOptions{})
+	rs := core.NewResultSet()
+	rs.Add(fakeResult(specs[0]))
+	info, _, err := svc.Submit(&SubmitCampaignRequest{Specs: specs}, rs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := c.lease(&LeaseRequest{Worker: "w1"})
+	covered := core.NewResultSet()
+	for _, s := range specs {
+		covered.Add(fakeResult(s))
+	}
+	done, _, err := svc.Submit(&SubmitCampaignRequest{Specs: specs}, covered, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := svc.Wait(context.Background(), done.ID); err != nil || final.State != StateDone {
+		t.Fatalf("covered campaign = %+v, %v; want done", final, err)
+	}
+	starts := map[string]int{}
+	for _, ev := range tel.Events.Since(0) {
+		switch ev.Type {
+		case telemetry.EventCampaignStart:
+			starts[ev.Campaign] = ev.Cells
+		case telemetry.EventCampaignDone:
+			if _, ok := starts[ev.Campaign]; !ok {
+				t.Fatalf("campaign_done for %s before its campaign_start", ev.Campaign)
+			}
+		}
+	}
+	if starts[info.ID] != 2 || starts[done.ID] != 0 {
+		t.Fatalf("campaign_start cells = %v, want %s:2 and %s:0", starts, info.ID, done.ID)
+	}
+	if _, ok := starts[done.ID]; !ok {
+		t.Fatalf("no campaign_start for %s", done.ID)
+	}
+}
 
-	c.heartbeat(&HeartbeatRequest{Worker: "w1", LeaseID: rep.LeaseID,
+func TestHeartbeatAndSubmitFederateMetrics(t *testing.T) {
+	specs := protoGrid(1)
+	svc, tel, _ := newTestService(t, t.TempDir(), ServiceOptions{})
+	id := submitLocal(t, svc, specs)
+	mux := svc.FleetMux()
+	var rep LeaseReply
+	serve(t, mux, PathLease, &LeaseRequest{Worker: "w1"}, &rep)
+
+	serve(t, mux, PathHeartbeat, &HeartbeatRequest{Worker: "w1", LeaseID: rep.LeaseID, Campaign: id,
 		Metrics: []telemetry.WireMetric{
 			{Name: `gefin_samples_total{outcome="masked"}`, Kind: telemetry.KindCounter, Value: 2},
-		}})
-	c.submit(&SubmitRequest{Worker: "w1", LeaseID: rep.LeaseID, Cell: rep.Cell,
+		}}, nil)
+	serve(t, mux, PathSubmit, &SubmitRequest{Worker: "w1", LeaseID: rep.LeaseID, Campaign: id, Cell: rep.Cell,
 		Result: fakeResult(specs[0]),
 		Metrics: []telemetry.WireMetric{
 			{Name: `gefin_samples_total{outcome="masked"}`, Kind: telemetry.KindCounter, Value: 4},
-		}})
+		}}, nil)
 
 	if got := counter(tel, `gefin_samples_total{outcome="masked",worker="w1"}`); got != 4 {
 		t.Fatalf(`per-worker series = %d, want 4`, got)
@@ -141,21 +199,20 @@ func TestHeartbeatAndSubmitFederateMetrics(t *testing.T) {
 
 func TestEventsEndpointStreamsJSONL(t *testing.T) {
 	specs := protoGrid(2)
-	tel := eventTel()
-	c, err := New(specs, nil, Options{Tel: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(c.Mux())
-	defer srv.Close()
+	svc, tel, srv := newTestService(t, t.TempDir(), ServiceOptions{})
+	id := submitLocal(t, svc, specs)
+	// The stream under test starts after the service's campaign events.
+	base := tel.Events.LastSeq()
 
-	rep := c.lease(&LeaseRequest{Worker: "w1"})
+	var rep LeaseReply
+	postJSON(t, srv.URL+PathLease, &LeaseRequest{Worker: "w1"}, &rep)
 	if rep.Status != StatusLease {
 		t.Fatalf("lease = %+v", rep)
 	}
 
-	fetch := func(query string) []telemetry.Event {
+	fetch := func(since uint64, wait string) []telemetry.Event {
 		t.Helper()
+		query := fmt.Sprintf("?since=%d&wait=%s", since, wait)
 		resp, err := http.Get(srv.URL + PathEvents + query)
 		if err != nil {
 			t.Fatal(err)
@@ -179,23 +236,23 @@ func TestEventsEndpointStreamsJSONL(t *testing.T) {
 		return evs
 	}
 
-	evs := fetch("?since=0&wait=1s")
+	evs := fetch(base, "1s")
 	if len(evs) != 2 || evs[0].Type != telemetry.EventWorkerJoin || evs[1].Type != telemetry.EventCellLeased {
 		t.Fatalf("streamed events = %v", eventTypes(evs))
 	}
 
 	// The cursor resumes mid-stream.
-	if evs := fetch("?since=1&wait=1s"); len(evs) != 1 || evs[0].Seq != 2 {
-		t.Fatalf("since=1 events = %+v", evs)
+	if evs := fetch(base+1, "1s"); len(evs) != 1 || evs[0].Seq != base+2 {
+		t.Fatalf("since=%d events = %+v", base+1, evs)
 	}
 
 	// A long-poll parked on the tail wakes when the next event lands.
 	type res struct{ evs []telemetry.Event }
 	ch := make(chan res, 1)
-	go func() { ch <- res{fetch("?since=2&wait=10s")} }()
+	go func() { ch <- res{fetch(base+2, "10s")} }()
 	time.Sleep(50 * time.Millisecond)
-	c.submit(&SubmitRequest{Worker: "w1", LeaseID: rep.LeaseID, Cell: rep.Cell,
-		Result: fakeResult(specs[rep.Cell])})
+	postJSON(t, srv.URL+PathSubmit, &SubmitRequest{Worker: "w1", LeaseID: rep.LeaseID, Campaign: id,
+		Cell: rep.Cell, Result: fakeResult(specs[rep.Cell])}, &SubmitReply{})
 	select {
 	case r := <-ch:
 		if len(r.evs) == 0 || r.evs[0].Type != telemetry.EventCellDone {
@@ -215,11 +272,12 @@ func TestEventsEndpointStreamsJSONL(t *testing.T) {
 }
 
 func TestEventsEndpointWithoutLogIs404(t *testing.T) {
-	c, err := New(protoGrid(1), nil, Options{Tel: telemetry.NewCampaign(nil)})
+	svc, err := NewService(t.TempDir(), ServiceOptions{Tel: telemetry.NewCampaign(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(c.Mux())
+	defer svc.Close()
+	srv := httptest.NewServer(svc.FleetMux())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + PathEvents)
 	if err != nil {
@@ -232,27 +290,27 @@ func TestEventsEndpointWithoutLogIs404(t *testing.T) {
 }
 
 // TestWorkerFederatesThroughRealRun is the federation acceptance path: a
-// real worker runs a real cell, and one scrape of the coordinator's registry
+// real worker runs a real cell, and one scrape of the service's registry
 // shows the worker's sample counters under its id and the fleet label.
 func TestWorkerFederatesThroughRealRun(t *testing.T) {
 	specs := []core.Spec{
 		{Workload: "stringSearch", Component: core.CompL1D, Faults: 1, Samples: 4, Seed: 3},
 	}
-	tel := eventTel()
-	coord, err := New(specs, nil, Options{Tel: tel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(coord.Mux())
-	defer srv.Close()
+	svc, tel, srv := newTestService(t, t.TempDir(), ServiceOptions{LeaseTTL: time.Second})
+	id := submitLocal(t, svc, specs)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	w := &Worker{ID: "wrk", URL: srv.URL, Tel: telemetry.NewCampaign(nil)}
-	if err := w.Run(ctx); err != nil {
+	workerErr := make(chan error, 1)
+	go func() { workerErr <- w.Run(ctx) }()
+	if _, err := svc.Wait(ctx, id); err != nil {
 		t.Fatal(err)
 	}
-	<-coord.Done()
+	svc.Drain(ctx, 10*time.Second)
+	if err := <-workerErr; err != nil {
+		t.Fatal(err)
+	}
 
 	var workerSeries, fleetSeries int64
 	for _, m := range tel.Registry.Snapshot() {

@@ -1,11 +1,11 @@
-// Package dispatch shards a campaign grid across processes and machines:
-// a coordinator owns the canonical core.ResultSet and hands out leases on
-// pending cells; workers lease a cell, run it through the normal core.Run
-// path, stream heartbeats and submit the result. Worker death is a normal
-// event — a lease whose worker stops heartbeating expires and the cell is
-// reassigned, with a bounded per-cell retry budget, and result acceptance
-// is idempotent so a slow worker re-delivering a completed cell is a
-// no-op. Seeded determinism makes the distributed grid byte-identical
+// Package dispatch shards campaign grids across processes and machines:
+// a Service owns each campaign's canonical core.ResultSet and hands out
+// leases on pending cells; workers lease a cell, run it through the normal
+// core.Run path, stream heartbeats and submit the result. Worker death is
+// a normal event — a lease whose worker stops heartbeating expires and the
+// cell is reassigned, with a bounded per-cell retry budget, and result
+// acceptance is idempotent so a slow worker re-delivering a completed cell
+// is a no-op. Seeded determinism makes the distributed grid byte-identical
 // (canonical ResultSet encoding) to a single-process run of the same spec,
 // and resumable/mergeable with one via the same Covers/Pending logic.
 //
@@ -20,7 +20,7 @@ import (
 	"mbusim/internal/telemetry"
 )
 
-// Endpoint paths served by Coordinator.Mux.
+// Endpoint paths served by Service.FleetMux (and Service.Mux).
 const (
 	PathLease     = "/dispatch/lease"
 	PathHeartbeat = "/dispatch/heartbeat"
@@ -85,9 +85,9 @@ type LeaseReply struct {
 	LeaseID uint64    // with StatusLease
 	Cell    int       // coordinator's cell index, echoed back on submit
 	Spec    core.Spec // the cell to run, verbatim
-	// Campaign is the campaign-service campaign id the lease belongs to;
-	// workers echo it verbatim on heartbeat/submit/abandon so the service
-	// routes them to the right campaign. Empty on a one-shot coordinator.
+	// Campaign is the id of the campaign the lease belongs to; workers
+	// echo it verbatim on heartbeat/submit/abandon so the service routes
+	// them to the right campaign.
 	Campaign string `json:",omitempty"`
 	// TTL is the lease lifetime: a worker silent (no heartbeat, no
 	// submit) for TTL loses the cell. Workers heartbeat at TTL/3.
@@ -164,15 +164,13 @@ type APIError struct {
 
 // APIError codes.
 const (
-	ErrCodeUnknownCampaign  = "unknown_campaign"
-	ErrCodeCampaignOver     = "campaign_over"
-	ErrCodeBadRequest       = "bad_request"
-	ErrCodeQueueFull        = "queue_full"
-	ErrCodeTenantCampaigns  = "tenant_campaigns"
-	ErrCodeTenantCells      = "tenant_cells"
-	ErrCodeInvalidSpec      = "invalid_spec"
-	ErrCodeBadTransition    = "bad_transition"
-	ErrCodeMethodNotAllowed = "method_not_allowed"
+	ErrCodeUnknownCampaign = "unknown_campaign"
+	ErrCodeBadRequest      = "bad_request"
+	ErrCodeQueueFull       = "queue_full"
+	ErrCodeTenantCampaigns = "tenant_campaigns"
+	ErrCodeTenantCells     = "tenant_cells"
+	ErrCodeInvalidSpec     = "invalid_spec"
+	ErrCodeBadTransition   = "bad_transition"
 )
 
 // TerminalError is a permanent rejection from the coordinator or campaign

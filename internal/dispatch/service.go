@@ -3,6 +3,7 @@ package dispatch
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -16,13 +17,15 @@ import (
 	"mbusim/internal/telemetry"
 )
 
-// Service promotes the one-shot Coordinator into a long-running campaign
-// service: clients POST campaigns into a durable queue, one shared worker
-// fleet is multiplexed round-robin across every running campaign, and the
-// whole thing survives SIGKILL — the journal (accepted submissions + state
+// Service is the one HTTP coordinator: clients POST campaigns into a
+// durable queue, one shared worker fleet is multiplexed round-robin across
+// every running campaign (each a Coordinator cell table), and the whole
+// thing survives SIGKILL — the journal (accepted submissions + state
 // transitions) and the per-campaign ResultSet files are replayed on
 // restart, rebuilding queued, running and finished campaigns exactly,
-// so the final results are byte-identical to an uninterrupted run.
+// so the final results are byte-identical to an uninterrupted run. A
+// one-shot grid (`gefin -serve` with grid flags) is the same service with
+// its grid submitted in-process (Submit) and drained when it ends (Drain).
 //
 // Admission control keeps it honest under load: the queue has a bounded
 // depth, each tenant is capped on live campaigns and live cells, and a
@@ -128,21 +131,33 @@ type svcCampaign struct {
 	// writer after that.
 	rs    *core.ResultSet
 	coord *Coordinator
-	// stop wakes the watcher goroutine when the campaign is cancelled (the
-	// coordinator never finishes on its own then — its cells just sit
-	// pending).
+	// onCell, set by an in-process Submit, observes each newly completed
+	// cell after the service has saved the results file.
+	onCell func(cell int, res *core.Result)
+	// stop is closed when the campaign reaches a terminal state (or the
+	// service closes): it wakes Wait, and the watcher of a cancelled
+	// campaign, whose coordinator never finishes on its own — its cells
+	// just sit pending.
 	stop    chan struct{}
 	stopped bool
 
-	// flushMu guards flushErr, set by OnCell when persisting the results
-	// file fails; the watcher folds it into the campaign's fate.
-	flushMu  sync.Mutex
+	// flushErr is set by OnCell when persisting the results file fails;
+	// the watcher folds it into the campaign's fate.
 	flushErr error
 }
 
-// Service is a durable multi-campaign coordinator. All state transitions
-// happen under one mutex; the HTTP handlers, the sweep loop and the
-// per-campaign watchers share it.
+// halt wakes the campaign's watcher and waiters for good. Callers hold the
+// service lock.
+func (c *svcCampaign) halt() {
+	if !c.stopped {
+		c.stopped = true
+		close(c.stop)
+	}
+}
+
+// Service is a durable multi-campaign coordinator. All state transitions,
+// its coordinators' included, happen under one mutex; the HTTP handlers,
+// the sweep loop and the per-campaign watchers share it.
 type Service struct {
 	opts ServiceOptions
 	dir  string
@@ -156,9 +171,10 @@ type Service struct {
 	nextID    int
 	workers   map[string]time.Time // worker -> last contact (service-wide)
 	joined    map[string]bool
+	// draining, once Drain is called, sends every worker home.
+	draining bool
 
-	// fed merges worker metric snapshots exactly once per delivery; the
-	// per-campaign coordinators skip their own merge in sharedFleet mode.
+	// fed merges worker metric snapshots exactly once per delivery.
 	fed *telemetry.Federator
 
 	// now is the service clock, swappable so tests pin timestamps.
@@ -218,9 +234,11 @@ func NewService(dir string, opts ServiceOptions) (*Service, error) {
 }
 
 // replay rebuilds the campaign set from journal records, then resumes
-// every live campaign from its results file. No events are re-emitted and
-// no state counters re-incremented — the event log already recorded the
-// first life; only the gauges are brought current.
+// every live campaign from its results file. No state counters are
+// re-incremented and no lifecycle events re-emitted — the event log
+// already recorded the first life — except the campaign_start of each
+// rebuilt coordinator, which opens its new session; the gauges are brought
+// current.
 func (s *Service) replay(recs []JournalRecord) error {
 	for _, rec := range recs {
 		switch rec.Op {
@@ -289,33 +307,34 @@ func (s *Service) resultsPath(id string) string {
 }
 
 // buildCoordinatorLocked attaches a fresh coordinator (and its watcher) to
-// a campaign, resuming from whatever c.rs already covers.
+// a campaign, resuming from whatever c.rs already covers. campaign_start
+// goes out first, so a grid the results already cover still logs its
+// start before the immediate campaign_done.
 func (s *Service) buildCoordinatorLocked(c *svcCampaign) error {
 	rs, path := c.rs, s.resultsPath(c.id)
-	campaign := c
-	coord, err := New(c.specs, rs, Options{
-		LeaseTTL:    s.opts.LeaseTTL,
-		MaxRetries:  c.budget,
-		Tel:         s.tel,
-		Campaign:    c.id,
-		sharedFleet: true,
-		// OnCell invocations are serialized by the coordinator, so the
-		// flush below never races itself; it must not touch s.mu (it runs
-		// under the coordinator's lock, inside handlers that hold s.mu).
+	s.tel.Emit(telemetry.Event{Type: telemetry.EventCampaignStart,
+		Campaign: c.id, Cell: -1, Cells: len(rs.Pending(c.specs))})
+	coord, err := newCoordinator(c.specs, rs, coordOptions{
+		LeaseTTL:   s.opts.LeaseTTL,
+		MaxRetries: c.budget,
+		Tel:        s.tel,
+		Campaign:   c.id,
+		// OnCell runs inside a submit handler that holds s.mu, so the
+		// flush below never races itself — and must not take s.mu again.
 		OnCell: func(cell int, res *core.Result) {
-			if err := rs.Save(path); err != nil {
-				campaign.flushMu.Lock()
-				if campaign.flushErr == nil {
-					campaign.flushErr = err
-				}
-				campaign.flushMu.Unlock()
+			if err := rs.Save(path); err != nil && c.flushErr == nil {
+				c.flushErr = err
 			}
-			s.tel.CampaignCellDone(campaign.id, campaign.tenant)
+			s.tel.CampaignCellDone(c.id, c.tenant)
+			if c.onCell != nil {
+				c.onCell(cell, res)
+			}
 		},
 	})
 	if err != nil {
 		return err
 	}
+	coord.now = func() time.Time { return s.now() }
 	c.coord = coord
 	go s.watch(c, coord)
 	return nil
@@ -336,11 +355,9 @@ func (s *Service) watch(c *svcCampaign, coord *Coordinator) {
 		return
 	}
 	err := coord.Err()
-	c.flushMu.Lock()
 	if err == nil && c.flushErr != nil {
 		err = fmt.Errorf("campaign complete but results not durable: %w", c.flushErr)
 	}
-	c.flushMu.Unlock()
 	if err != nil {
 		s.transitionLocked(c, StateFailed, err.Error())
 	} else {
@@ -364,10 +381,7 @@ func (s *Service) transitionLocked(c *svcCampaign, state, detail string) {
 	c.state, c.detail = state, detail
 	if terminalState(state) {
 		c.finishedNS = s.now().UnixNano()
-		if !c.stopped {
-			c.stopped = true
-			close(c.stop)
-		}
+		c.halt()
 	}
 	s.tel.CampaignEntered(state)
 	s.tel.Emit(telemetry.Event{Type: telemetry.EventCampaignState,
@@ -414,7 +428,7 @@ func (s *Service) refreshGaugesLocked() {
 		case StateRunning, StatePaused:
 			live++
 			if c.coord != nil {
-				leased += int64(c.coord.Stats().Leased)
+				leased += int64(len(c.coord.leases))
 			}
 		}
 	}
@@ -425,7 +439,7 @@ func (s *Service) refreshGaugesLocked() {
 }
 
 // touchWorkerLocked records contact from a worker, emitting worker_join
-// once per id — the service owns the fleet view its coordinators suppress.
+// once per id.
 func (s *Service) touchWorkerLocked(worker string) {
 	if worker == "" {
 		return
@@ -436,6 +450,16 @@ func (s *Service) touchWorkerLocked(worker string) {
 		s.tel.DispatchWorkerSeen()
 		s.tel.Emit(telemetry.Event{Type: telemetry.EventWorkerJoin, Worker: worker, Cell: -1})
 	}
+}
+
+// dropWorkerLocked removes a worker from the live set, emitting
+// worker_leave with the reason.
+func (s *Service) dropWorkerLocked(worker, why string) {
+	if _, ok := s.workers[worker]; !ok {
+		return
+	}
+	delete(s.workers, worker)
+	s.tel.Emit(telemetry.Event{Type: telemetry.EventWorkerLeave, Worker: worker, Cell: -1, Detail: why})
 }
 
 // Sweep expires stale leases in every running campaign and drops workers
@@ -451,9 +475,7 @@ func (s *Service) Sweep() {
 	}
 	for w, last := range s.workers {
 		if now.Sub(last) > workerLiveWindow*s.opts.LeaseTTL {
-			delete(s.workers, w)
-			s.tel.Emit(telemetry.Event{Type: telemetry.EventWorkerLeave,
-				Worker: w, Cell: -1, Detail: "silent past live window"})
+			s.dropWorkerLocked(w, "silent past live window")
 		}
 	}
 	s.refreshGaugesLocked()
@@ -475,12 +497,48 @@ func (s *Service) Run(ctx context.Context) error {
 	}
 }
 
-// Close closes the journal. In-flight handlers racing Close may lose their
-// journal append — the same torn-tail story a crash leaves, which replay
-// already tolerates.
+// Drain sends the fleet home: from now on every lease is answered
+// StatusDone and every submit reply carries CampaignDone, and each worker
+// so told leaves the live set with worker_leave "campaign over". It returns
+// once the live set is empty, or when timeout or ctx expires. Serving
+// through this window lets tail workers learn the run is over instead of
+// finding a closed port and retrying into their MaxDowntime. Only a
+// one-shot grid drains; a persistent service's fleet outlives every
+// campaign.
+func (s *Service) Drain(ctx context.Context, timeout time.Duration) {
+	s.mu.Lock()
+	s.draining = true
+	s.mu.Unlock()
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	tick := time.NewTicker(20 * time.Millisecond)
+	defer tick.Stop()
+	for {
+		s.mu.Lock()
+		n := len(s.workers)
+		s.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		select {
+		case <-ctx.Done():
+			return
+		case <-deadline.C:
+			return
+		case <-tick.C:
+		}
+	}
+}
+
+// Close closes the journal and stops the campaign watchers. In-flight
+// handlers racing Close may lose their journal append — the same torn-tail
+// story a crash leaves, which replay already tolerates.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	for _, c := range s.campaigns {
+		c.halt()
+	}
 	return s.journal.Close()
 }
 
@@ -502,10 +560,11 @@ func (s *Service) infoLocked(c *svcCampaign) CampaignInfo {
 	return info
 }
 
-// Mux returns the service's HTTP handler: the campaign API under
-// /campaigns plus the worker-facing dispatch protocol, multiplexed across
-// campaigns by the Campaign field workers echo from their lease.
-func (s *Service) Mux() *http.ServeMux {
+// FleetMux returns the worker-facing routes: the dispatch protocol,
+// multiplexed across campaigns by the Campaign field workers echo from
+// their lease, and the /dispatch/events stream. A one-shot grid serves
+// only these — its one campaign is submitted in-process.
+func (s *Service) FleetMux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathLease, handle(s.lease))
 	mux.HandleFunc(PathHeartbeat, routed(s, func(c *svcCampaign, req *HeartbeatRequest) *HeartbeatReply {
@@ -518,14 +577,16 @@ func (s *Service) Mux() *http.ServeMux {
 		return c.coord.heartbeat(req)
 	}))
 	mux.HandleFunc(PathSubmit, routed(s, func(c *svcCampaign, req *SubmitRequest) *SubmitReply {
-		if c.coord == nil || terminalState(c.state) {
-			// Work for a finished campaign: discard. CampaignDone stays
-			// false — in service mode the fleet persists across campaigns
-			// and only a signal sends a worker home.
-			return &SubmitReply{Status: StatusStale}
+		// Work for a finished campaign is discarded.
+		rep := &SubmitReply{Status: StatusStale}
+		if c.coord != nil && !terminalState(c.state) {
+			rep = c.coord.submit(req)
 		}
-		rep := c.coord.submit(req)
-		rep.CampaignDone = false
+		// The fleet persists across campaigns: only a drain sends a
+		// worker home.
+		if rep.CampaignDone = s.draining; rep.CampaignDone {
+			s.dropWorkerLocked(req.Worker, "campaign over")
+		}
 		return rep
 	}))
 	mux.HandleFunc(PathAbandon, routed(s, func(c *svcCampaign, req *AbandonRequest) *AbandonReply {
@@ -535,6 +596,13 @@ func (s *Service) Mux() *http.ServeMux {
 		return c.coord.abandon(req)
 	}))
 	mux.HandleFunc(PathEvents, eventsHandler(s.tel, ""))
+	return mux
+}
+
+// Mux returns the service's HTTP handler: the FleetMux routes plus the
+// campaign API under /campaigns.
+func (s *Service) Mux() *http.ServeMux {
+	mux := s.FleetMux()
 	mux.HandleFunc("POST "+PathCampaigns, s.handleSubmitCampaign)
 	mux.HandleFunc("GET "+PathCampaigns, s.handleList)
 	mux.HandleFunc("GET "+PathCampaigns+"/{id}", s.handleStatus)
@@ -542,6 +610,89 @@ func (s *Service) Mux() *http.ServeMux {
 	mux.HandleFunc("GET "+PathCampaigns+"/{id}/events", s.handleEvents)
 	mux.HandleFunc("POST "+PathCampaigns+"/{id}/{action}", s.handleAction)
 	return mux
+}
+
+// maxEventWait caps how long one /dispatch/events long-poll may hang; the
+// client just re-polls with the same since on an empty body.
+const maxEventWait = 30 * time.Second
+
+// eventsHandler serves GET ?since=<seq>[&wait=<dur>]: JSONL of every event
+// with Seq > since, long-polling up to wait (default 10s) when none exist
+// yet. 404 when no event log is attached. A non-empty campaign filters the
+// stream to that campaign's events — the long-poll keeps draining the
+// shared log until a matching event arrives or the wait expires, advancing
+// the caller's cursor past the non-matching ones either way.
+func eventsHandler(tel *telemetry.Campaign, campaign string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			http.Error(w, "GET only", http.StatusMethodNotAllowed)
+			return
+		}
+		var log *telemetry.EventLog
+		if tel != nil {
+			log = tel.Events
+		}
+		if log == nil {
+			http.Error(w, "event log disabled", http.StatusNotFound)
+			return
+		}
+		var since uint64
+		if s := r.URL.Query().Get("since"); s != "" {
+			v, err := strconv.ParseUint(s, 10, 64)
+			if err != nil {
+				http.Error(w, "bad since: "+err.Error(), http.StatusBadRequest)
+				return
+			}
+			since = v
+		}
+		wait := 10 * time.Second
+		if s := r.URL.Query().Get("wait"); s != "" {
+			d, err := time.ParseDuration(s)
+			if err != nil {
+				http.Error(w, "bad wait: "+err.Error(), http.StatusBadRequest)
+				return
+			}
+			wait = min(d, maxEventWait)
+		}
+		deadline := time.Now().Add(wait)
+		var out []telemetry.Event
+		for {
+			evs := log.WaitSince(r.Context(), since, time.Until(deadline))
+			for _, ev := range evs {
+				since = ev.Seq
+				if campaign == "" || ev.Campaign == campaign {
+					out = append(out, ev)
+				}
+			}
+			if len(out) > 0 || len(evs) == 0 || !time.Now().Before(deadline) {
+				break
+			}
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		enc := json.NewEncoder(w)
+		for _, ev := range out {
+			if err := enc.Encode(ev); err != nil {
+				return
+			}
+		}
+	}
+}
+
+// handle adapts a typed request/reply function to an http.HandlerFunc.
+func handle[Req, Rep any](f func(*Req) *Rep) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "POST only", http.StatusMethodNotAllowed)
+			return
+		}
+		var req Req
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(f(&req))
+	}
 }
 
 // writeAPIError sends a typed JSON error body. retryAfter > 0 adds the
@@ -582,45 +733,77 @@ func validName(s string) bool {
 	return true
 }
 
-// handleSubmitCampaign is POST /campaigns: validate, admit, journal,
-// queue. The journal append happens before the 201 — acknowledgement IS
-// the durability promise — and a failed append refuses the submission.
+// handleSubmitCampaign is POST /campaigns: decode, then Submit.
 func (s *Service) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 	var req SubmitCampaignRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, err.Error(), 0)
 		return
 	}
-	if req.Tenant == "" {
-		req.Tenant = "default"
+	info, created, err := s.Submit(&req, nil, nil)
+	var term *TerminalError
+	switch {
+	case errors.As(err, &term):
+		var retryAfter time.Duration
+		if term.Status == http.StatusTooManyRequests {
+			// Retry-After tracks the lease TTL: by then at least one sweep
+			// has run and some campaign has likely made progress.
+			retryAfter = s.opts.LeaseTTL
+		}
+		writeAPIError(w, term.Status, term.Code, term.Msg, retryAfter)
+	case err != nil:
+		writeAPIError(w, http.StatusInternalServerError, "journal_error", err.Error(), 0)
+	case created:
+		writeJSON(w, http.StatusCreated, info)
+	default:
+		writeJSON(w, http.StatusOK, info)
 	}
-	if !validName(req.Tenant) || !validName(req.Name) {
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest,
-			"tenant and name must be [A-Za-z0-9._:-], at most 64 chars", 0)
-		return
+}
+
+// refuse builds an admission refusal.
+func refuse(status int, code, format string, args ...any) error {
+	return &TerminalError{Path: PathCampaigns, Status: status, Code: code, Msg: fmt.Sprintf(format, args...)}
+}
+
+// Submit validates, admits, journals and queues one campaign: the one
+// admission path, behind POST /campaigns and a one-shot grid alike. The
+// journal append happens before the campaign exists — acknowledgement IS
+// the durability promise — and a failed append refuses the submission. A
+// refusal is a *TerminalError carrying the HTTP status and code POST
+// /campaigns answers; created is false when a named resubmission returned
+// the live campaign instead.
+//
+// rs, when non-nil, seeds the campaign's result set: every cell it already
+// covers counts as done (a resumed one-shot grid), while cell indexes still
+// span the whole of req.Specs. onCell, when non-nil, observes each newly
+// completed cell after the service saved its results file; it runs under
+// the service's lock, so calls are serialized and must not call back in.
+func (s *Service) Submit(req *SubmitCampaignRequest, rs *core.ResultSet, onCell func(cell int, res *core.Result)) (info CampaignInfo, created bool, err error) {
+	tenant := req.Tenant
+	if tenant == "" {
+		tenant = "default"
+	}
+	if !validName(tenant) || !validName(req.Name) {
+		return info, false, refuse(http.StatusBadRequest, ErrCodeBadRequest,
+			"tenant and name must be [A-Za-z0-9._:-], at most 64 chars")
 	}
 	if req.Retries < 0 {
-		writeAPIError(w, http.StatusBadRequest, ErrCodeBadRequest, "retries must be >= 0", 0)
-		return
+		return info, false, refuse(http.StatusBadRequest, ErrCodeBadRequest, "retries must be >= 0")
 	}
 	if len(req.Specs) == 0 {
-		writeAPIError(w, http.StatusBadRequest, ErrCodeInvalidSpec, "no cells in submission", 0)
-		return
+		return info, false, refuse(http.StatusBadRequest, ErrCodeInvalidSpec, "no cells in submission")
 	}
 	seen := make(map[core.CellKey]bool, len(req.Specs))
 	for i, spec := range req.Specs {
 		if err := spec.Validate(); err != nil {
-			writeAPIError(w, http.StatusBadRequest, ErrCodeInvalidSpec,
-				fmt.Sprintf("spec %d: %v", i, err), 0)
-			return
+			return info, false, refuse(http.StatusBadRequest, ErrCodeInvalidSpec, "spec %d: %v", i, err)
 		}
-		if k := spec.Key(); seen[k] {
-			writeAPIError(w, http.StatusBadRequest, ErrCodeInvalidSpec,
-				fmt.Sprintf("spec %d: duplicate cell %s/%s/%d-bit", i, k.Component, k.Workload, k.Faults), 0)
-			return
-		} else {
-			seen[k] = true
+		k := spec.Key()
+		if seen[k] {
+			return info, false, refuse(http.StatusBadRequest, ErrCodeInvalidSpec,
+				"spec %d: duplicate cell %s/%s/%d-bit", i, k.Component, k.Workload, k.Faults)
 		}
+		seen[k] = true
 	}
 
 	s.mu.Lock()
@@ -632,15 +815,13 @@ func (s *Service) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 	if req.Name != "" {
 		for _, id := range s.order {
 			c := s.campaigns[id]
-			if c.tenant == req.Tenant && c.name == req.Name && !terminalState(c.state) {
-				writeJSON(w, http.StatusOK, s.infoLocked(c))
-				return
+			if c.tenant == tenant && c.name == req.Name && !terminalState(c.state) {
+				return s.infoLocked(c), false, nil
 			}
 		}
 	}
 
-	// Admission control. Retry-After tracks the lease TTL: by then at
-	// least one sweep has run and some campaign has likely made progress.
+	// Admission control.
 	var queued, tenantLive, tenantCells int
 	for _, c := range s.campaigns {
 		if terminalState(c.state) {
@@ -649,34 +830,33 @@ func (s *Service) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 		if c.state == StateQueued {
 			queued++
 		}
-		if c.tenant == req.Tenant {
+		if c.tenant == tenant {
 			tenantLive++
 			tenantCells += len(c.specs)
 		}
 	}
-	retryAfter := s.opts.LeaseTTL
 	switch {
 	case queued >= s.opts.QueueDepth:
-		s.tel.AdmissionRejected(req.Tenant, ErrCodeQueueFull)
-		writeAPIError(w, http.StatusTooManyRequests, ErrCodeQueueFull,
-			fmt.Sprintf("campaign queue full (%d queued)", queued), retryAfter)
-		return
+		s.tel.AdmissionRejected(tenant, ErrCodeQueueFull)
+		return info, false, refuse(http.StatusTooManyRequests, ErrCodeQueueFull,
+			"campaign queue full (%d queued)", queued)
 	case tenantLive >= s.opts.TenantCampaigns:
-		s.tel.AdmissionRejected(req.Tenant, ErrCodeTenantCampaigns)
-		writeAPIError(w, http.StatusTooManyRequests, ErrCodeTenantCampaigns,
-			fmt.Sprintf("tenant %s at its live-campaign limit (%d)", req.Tenant, tenantLive), retryAfter)
-		return
+		s.tel.AdmissionRejected(tenant, ErrCodeTenantCampaigns)
+		return info, false, refuse(http.StatusTooManyRequests, ErrCodeTenantCampaigns,
+			"tenant %s at its live-campaign limit (%d)", tenant, tenantLive)
 	case tenantCells+len(req.Specs) > s.opts.TenantCells:
-		s.tel.AdmissionRejected(req.Tenant, ErrCodeTenantCells)
-		writeAPIError(w, http.StatusTooManyRequests, ErrCodeTenantCells,
-			fmt.Sprintf("tenant %s would exceed its live-cell limit (%d live + %d submitted > %d)",
-				req.Tenant, tenantCells, len(req.Specs), s.opts.TenantCells), retryAfter)
-		return
+		s.tel.AdmissionRejected(tenant, ErrCodeTenantCells)
+		return info, false, refuse(http.StatusTooManyRequests, ErrCodeTenantCells,
+			"tenant %s would exceed its live-cell limit (%d live + %d submitted > %d)",
+			tenant, tenantCells, len(req.Specs), s.opts.TenantCells)
 	}
 
 	budget := req.Retries
 	if budget <= 0 {
 		budget = s.opts.MaxRetries
+	}
+	if rs == nil {
+		rs = core.NewResultSet()
 	}
 	id := fmt.Sprintf("c%06d", s.nextID)
 	now := s.now().UnixNano()
@@ -684,16 +864,15 @@ func (s *Service) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 	// rebuilds the campaign from.
 	if err := s.journal.Append(JournalRecord{
 		Op: JournalOpSubmit, ID: id, TimeNS: now,
-		Tenant: req.Tenant, Name: req.Name, Retries: budget, Specs: req.Specs,
+		Tenant: tenant, Name: req.Name, Retries: budget, Specs: req.Specs,
 	}); err != nil {
-		writeAPIError(w, http.StatusInternalServerError, "journal_error", err.Error(), 0)
-		return
+		return info, false, err
 	}
 	s.nextID++
 	c := &svcCampaign{
-		id: id, tenant: req.Tenant, name: req.Name, budget: budget,
+		id: id, tenant: tenant, name: req.Name, budget: budget,
 		specs: req.Specs, state: StateQueued, submittedNS: now,
-		rs: core.NewResultSet(), stop: make(chan struct{}),
+		rs: rs, onCell: onCell, stop: make(chan struct{}),
 	}
 	s.campaigns[id] = c
 	s.order = append(s.order, id)
@@ -702,7 +881,26 @@ func (s *Service) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 		Campaign: id, Tenant: c.tenant, Cell: -1, Cells: len(c.specs)})
 	s.scheduleLocked()
 	s.refreshGaugesLocked()
-	writeJSON(w, http.StatusCreated, s.infoLocked(c))
+	return s.infoLocked(c), true, nil
+}
+
+// Wait blocks until campaign id reaches a terminal state (or the service
+// closes) and returns its status then; ctx ending first returns ctx.Err().
+func (s *Service) Wait(ctx context.Context, id string) (CampaignInfo, error) {
+	s.mu.Lock()
+	c, ok := s.campaigns[id]
+	s.mu.Unlock()
+	if !ok {
+		return CampaignInfo{}, fmt.Errorf("dispatch: no campaign %s", id)
+	}
+	select {
+	case <-ctx.Done():
+		return CampaignInfo{}, ctx.Err()
+	case <-c.stop:
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.infoLocked(c), nil
 }
 
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
@@ -828,11 +1026,15 @@ func (s *Service) handleAction(w http.ResponseWriter, r *http.Request) {
 // just finished, watcher not yet run) or wait (tail: all pending cells
 // leased) is skipped; only when no campaign has work does the worker get
 // StatusWait — never StatusDone, because the service outlives any one
-// campaign and the fleet should stay.
+// campaign and the fleet should stay, until a Drain sends it home.
 func (s *Service) lease(req *LeaseRequest) *LeaseReply {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.touchWorkerLocked(req.Worker)
+	if s.draining {
+		s.dropWorkerLocked(req.Worker, "campaign over")
+		return &LeaseReply{Status: StatusDone}
+	}
 	n := len(s.order)
 	for k := 0; k < n; k++ {
 		c := s.campaigns[s.order[(s.rr+k)%n]]

@@ -54,6 +54,47 @@ func newTestService(t *testing.T, dir string, opts ServiceOptions) (*Service, *t
 	return svc, tel, srv
 }
 
+// svcClockFor installs a manual clock on the service — and through it on
+// every coordinator the service builds — and returns the advance function.
+// Advancing takes the service lock, which every reader of the clock holds.
+func svcClockFor(s *Service) func(d time.Duration) {
+	now := time.Unix(1_700_000_000, 0)
+	s.now = func() time.Time { return now }
+	return func(d time.Duration) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		now = now.Add(d)
+	}
+}
+
+// submitLocal admits specs in-process as one campaign and returns its id.
+func submitLocal(t *testing.T, svc *Service, specs []core.Spec) string {
+	t.Helper()
+	info, _, err := svc.Submit(&SubmitCampaignRequest{Specs: specs}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.ID
+}
+
+// serve drives one request through a handler on the calling goroutine and
+// decodes the JSON reply into rep (when non-nil), returning the status.
+func serve(t *testing.T, h http.Handler, path string, req, rep any) int {
+	t.Helper()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	if rep != nil {
+		if err := json.Unmarshal(rec.Body.Bytes(), rep); err != nil {
+			t.Fatalf("decoding %s reply %q: %v", path, rec.Body.String(), err)
+		}
+	}
+	return rec.Code
+}
+
 // postJSON posts a JSON body and decodes the JSON reply, returning the
 // HTTP status — admission tests need the raw status and headers, which the
 // retrying Client deliberately hides.
@@ -402,27 +443,91 @@ func TestServiceJournalReplayAtAdmissionLimit(t *testing.T) {
 	}
 }
 
+// rejectCases are submissions admission must refuse with a typed 400.
+var rejectCases = []struct {
+	name string
+	req  SubmitCampaignRequest
+	code string
+}{
+	{"no cells", SubmitCampaignRequest{}, ErrCodeInvalidSpec},
+	{"bad spec", SubmitCampaignRequest{Specs: []core.Spec{{Workload: "nope", Component: "L1D", Faults: 1, Samples: 1}}}, ErrCodeInvalidSpec},
+	{"duplicate cells", SubmitCampaignRequest{Specs: append(svcGrid(1), svcGrid(1)...)}, ErrCodeInvalidSpec},
+	{"bad tenant", SubmitCampaignRequest{Tenant: `evil"t`, Specs: svcGrid(1)}, ErrCodeBadRequest},
+	{"negative retries", SubmitCampaignRequest{Retries: -1, Specs: svcGrid(1)}, ErrCodeBadRequest},
+}
+
 // TestServiceValidationRejects: malformed submissions get typed 400s, not
 // queue slots.
 func TestServiceValidationRejects(t *testing.T) {
 	_, _, srv := newTestService(t, t.TempDir(), ServiceOptions{})
-	cases := []struct {
-		name string
-		req  SubmitCampaignRequest
-		code string
-	}{
-		{"no cells", SubmitCampaignRequest{}, ErrCodeInvalidSpec},
-		{"bad spec", SubmitCampaignRequest{Specs: []core.Spec{{Workload: "nope", Component: "L1D", Faults: 1, Samples: 1}}}, ErrCodeInvalidSpec},
-		{"duplicate cells", SubmitCampaignRequest{Specs: append(svcGrid(1), svcGrid(1)...)}, ErrCodeInvalidSpec},
-		{"bad tenant", SubmitCampaignRequest{Tenant: `evil"t`, Specs: svcGrid(1)}, ErrCodeBadRequest},
-		{"negative retries", SubmitCampaignRequest{Retries: -1, Specs: svcGrid(1)}, ErrCodeBadRequest},
-	}
-	for _, tc := range cases {
+	for _, tc := range rejectCases {
 		code, _, _, apiErr := submitRaw(t, srv.URL, &tc.req)
 		if code != http.StatusBadRequest || apiErr.Code != tc.code {
 			t.Errorf("%s: got %d %+v, want 400 %s", tc.name, code, apiErr, tc.code)
 		}
 	}
+}
+
+// FuzzSubmitCampaign drives the one admission path (POST /campaigns) with
+// arbitrary bodies. It must never panic; a campaign it admits must replay
+// on a service restarted over the same directory with exactly the
+// submitted specs; a body it refuses must leave the journal byte-unchanged.
+func FuzzSubmitCampaign(f *testing.F) {
+	add := func(req SubmitCampaignRequest) {
+		body, err := json.Marshal(&req)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	add(SubmitCampaignRequest{Tenant: "acme", Name: "nightly", Retries: 2, Specs: svcGrid(3)})
+	add(SubmitCampaignRequest{Specs: []core.Spec{{Workload: "sha", Component: core.CompL2, Faults: 9,
+		Samples: 2000, Seed: 0x9E3779B97F4A7C15, Cluster: core.ClusterSpec{Rows: 3, Cols: 3},
+		TimeoutFactor: 2.5, WallTimeout: time.Second, Protect: core.Protection{Kind: core.ProtectSECDED, Interleave: 2}}}})
+	for _, tc := range rejectCases {
+		add(tc.req)
+	}
+	for _, seed := range []string{"", "null", "{", `{"specs":null}`, `{"specs":[null]}`, `{"tenant":1}`} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		dir := t.TempDir()
+		journal := filepath.Join(dir, "journal.jsonl")
+		svc, err := NewService(dir, ServiceOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := readFile(t, journal)
+		rec := httptest.NewRecorder()
+		svc.Mux().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, PathCampaigns, bytes.NewReader(body)))
+		svc.Close()
+		switch {
+		case rec.Code >= 400 && rec.Code < 500:
+			if after := readFile(t, journal); !bytes.Equal(after, before) {
+				t.Fatalf("refused submission (%d %s) changed the journal:\n%s", rec.Code, rec.Body, after)
+			}
+		case rec.Code == http.StatusCreated:
+			var info CampaignInfo
+			if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
+				t.Fatal(err)
+			}
+			var req SubmitCampaignRequest
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+				t.Fatalf("admitted a body that does not decode: %v", err)
+			}
+			again, err := NewService(dir, ServiceOptions{})
+			if err != nil {
+				t.Fatalf("restart over an admitted campaign: %v", err)
+			}
+			defer again.Close()
+			c := again.campaigns[info.ID]
+			if c == nil || !slices.Equal(c.specs, req.Specs) {
+				t.Fatalf("campaign %s did not replay with its specs", info.ID)
+			}
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	})
 }
 
 // TestServiceNamedResubmitIdempotent: a named submission retried while the

@@ -51,14 +51,15 @@ type Event struct {
 	TimeNS int64  `json:"t_ns"` // unix nanoseconds at emission
 	Type   string `json:"type"`
 
-	// Campaign is the campaign-service campaign id the event belongs to;
-	// empty on single-campaign (one-shot -serve or local) runs, where the
-	// whole log is one campaign.
+	// Worker names the worker the event concerns, when any; it leads so a
+	// line reads "type","worker",... with or without a campaign.
+	Worker string `json:"worker,omitempty"`
+	// Campaign is the id of the service campaign the event belongs to —
+	// every coordinated run, a one-shot -serve grid included; empty on
+	// local runs, where the whole log is one campaign.
 	Campaign string `json:"campaign,omitempty"`
 	// Tenant is the submitting tenant, on campaign-service lifecycle events.
 	Tenant string `json:"tenant,omitempty"`
-	// Worker names the worker the event concerns, when any.
-	Worker string `json:"worker,omitempty"`
 	// Cell is the coordinator's cell index; -1 for events not about a cell.
 	Cell int `json:"cell"`
 	// Comp/Workload/Faults identify the cell's spec, on cell-scoped events.

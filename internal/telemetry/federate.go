@@ -106,9 +106,6 @@ type Federator struct {
 	// last holds, per worker, the last absolute value seen for each series
 	// — the subtrahend for increment derivation and restart detection.
 	last map[string]map[string]WireMetric
-	// OnNewWorker, when non-nil, fires once per distinct worker id, under
-	// no lock ordering guarantees beyond happens-before the merge.
-	OnNewWorker func(worker string)
 }
 
 // NewFederator returns a federator publishing into target.
@@ -131,9 +128,6 @@ func (f *Federator) Merge(worker string, ms []WireMetric) {
 	if !ok {
 		prev = make(map[string]WireMetric)
 		f.last[worker] = prev
-		if f.OnNewWorker != nil {
-			f.OnNewWorker(worker)
-		}
 	}
 	for _, m := range ms {
 		wlabel := `worker="` + worker + `"`
