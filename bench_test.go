@@ -350,7 +350,12 @@ func BenchmarkAblationWalkerPath(b *testing.B) {
 // Scratch rebuilds every machine and replays the golden prefix from cycle
 // 0, Checkpointed restores the nearest golden checkpoint at or before the
 // injection cycle. Both paths produce identical outcomes (enforced by
-// TestCheckpointEquivalence); the difference is pure prefix-replay cost.
+// TestCheckpointEquivalence and TestShortcutMatchesScratch). Checkpointed
+// is the default campaign path, so it also includes the inject-time
+// shortcut: this sha/L1D cell's samples whose flipped bits the golden
+// liveness index shows are never read return without a machine, and the
+// warm-up run below builds that index outside the timed region. The gap
+// to Scratch is thus prefix replay plus every skipped dead tail.
 func benchCampaign(b *testing.B, noCheckpoints bool) {
 	spec := core.Spec{
 		Workload: "sha", Component: core.CompL1D, Faults: 2,
@@ -358,7 +363,8 @@ func benchCampaign(b *testing.B, noCheckpoints bool) {
 		NoCheckpoints: noCheckpoints,
 	}
 	// Warm the one-time per-process state (compile, golden run, checkpoint
-	// set) outside the timed region for both variants alike.
+	// set, liveness index) outside the timed region for both variants
+	// alike.
 	if _, err := core.Run(context.Background(), spec, nil); err != nil {
 		b.Fatal(err)
 	}

@@ -345,6 +345,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	// for — the number the artifact cache exists to minimize. Nil-safe: with
 	// telemetry off the hook is a no-op.
 	workloads.OnGoldenDerived = func(string) { tel.GoldenDerived() }
+	// The liveness index is one more golden pass per workload, paid on the
+	// first cell that can resolve samples with it; time it separately so it
+	// never counts as a golden derivation.
+	workloads.OnLiveIndexBuilt = tel.LiveIndexBuilt
 
 	// health feeds /healthz on the metrics port and (coordinator mode) the
 	// dispatch port: the process role plus a cheap campaign digest.

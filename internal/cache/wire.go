@@ -35,7 +35,7 @@ func DecodeSnapshotWire(r *wire.Reader) (*Snapshot, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if n < 0 || n > maxWireLines {
+	if n < 0 || n > maxWireLines || !r.Fits(n, 12) { // tag + last use per line
 		return nil, fmt.Errorf("cache: snapshot line count %d out of range", n)
 	}
 	s := &Snapshot{

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
@@ -47,9 +48,11 @@ type Spec struct {
 
 	// NoCheckpoints forces every run to rebuild its machine and replay the
 	// golden prefix from cycle 0 instead of fast-forwarding from the
-	// workload's golden checkpoint set. The two paths produce identical
-	// outcomes; this knob exists for cross-checking and for bounding
-	// memory on very large configurations.
+	// workload's golden checkpoint set, and to simulate every sample to
+	// its end: no convergence exit, no inject-time resolution from the
+	// liveness index. The paths produce identical outcomes; this knob is
+	// the reference for cross-checking them and bounds memory on very
+	// large configurations.
 	NoCheckpoints bool
 
 	// NoDelta forces every checkpointed run to build a fresh machine and
@@ -209,30 +212,16 @@ func run(ctx context.Context, spec Spec, progress Progress, workers int, tel *te
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	w, err := workloads.ByName(spec.Workload)
+	c, err := newCellRun(spec)
 	if err != nil {
 		return nil, err
 	}
-	golden, err := w.Reference()
-	if err != nil {
-		return nil, err
-	}
-	// Validate the component and geometry once, on a probe machine.
-	probe, err := w.NewMachine()
-	if err != nil {
-		return nil, err
-	}
-	probeTarget, err := TargetFor(probe, spec.Component)
-	if err != nil {
-		return nil, err
-	}
-
+	golden := c.golden
 	res := &Result{
 		Spec:         spec,
 		GoldenCycles: golden.Cycles,
-		TargetBits:   probeTarget.Rows() * probeTarget.Cols(),
+		TargetBits:   c.rows * c.cols,
 	}
-	limit := uint64(spec.TimeoutFactor * float64(golden.Cycles))
 
 	// Pre-draw per-run randomness deterministically so results do not
 	// depend on worker scheduling. idx is the sample's identity in traces
@@ -259,14 +248,6 @@ func run(ctx context.Context, spec Spec, progress Progress, workers int, tel *te
 	// order-independent (traces are re-sorted by sample index), so results
 	// are bit-identical to index-order dispatch.
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].injectAt < jobs[j].injectAt })
-
-	// Build the workload's checkpoint set before the workers start so the
-	// one-time construction cost is not paid under the first worker's run.
-	if !spec.NoCheckpoints {
-		if _, err := w.CheckpointCycles(); err != nil {
-			return nil, err
-		}
-	}
 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -322,9 +303,9 @@ func run(ctx context.Context, spec Spec, progress Progress, workers int, tel *te
 			// machines as before.
 			var rst, shadowRst *workloads.Restorer
 			if !spec.NoCheckpoints && !spec.NoDelta {
-				rst = w.NewRestorer()
+				rst = c.w.NewRestorer()
 				if spec.Forensics == forensics.ModeFull {
-					shadowRst = w.NewRestorer()
+					shadowRst = c.w.NewRestorer()
 				}
 			}
 			for !failed.Load() && ctx.Err() == nil {
@@ -337,7 +318,7 @@ func run(ctx context.Context, spec Spec, progress Progress, workers int, tel *te
 				if tel.Enabled() {
 					start = time.Now()
 				}
-				effect, meta, err := runOneRecovered(w, golden, spec, limit, jobs[j].injectAt, jobs[j].maskSeed, i, obsOcc, tel, rst, shadowRst)
+				effect, meta, err := c.runOneRecovered(jobs[j].injectAt, jobs[j].maskSeed, i, obsOcc, tel, rst, shadowRst)
 				if err != nil {
 					workerErrs[wk] = err
 					failed.Store(true)
@@ -352,8 +333,12 @@ func run(ctx context.Context, spec Spec, progress Progress, workers int, tel *te
 						Checkpoint: meta.checkpoint, CyclesSkipped: meta.cyclesSkipped,
 						Outcome:    effect.Label(),
 						DurationNS: time.Since(start).Nanoseconds(),
+						Exit:       meta.exit,
 					}
 					tel.RecordSample(&rec)
+					if meta.exit == telemetry.ExitAudited {
+						tel.RecordAudit(meta.auditMismatch)
+					}
 					if workerRecs != nil {
 						workerRecs[wk] = append(workerRecs[wk], rec)
 					}
@@ -467,12 +452,16 @@ func maskPairs(m Mask) [][2]int {
 // runMeta carries the per-sample facts the trace and metrics layers need
 // beyond the classified effect: which golden checkpoint the run restored
 // (and how much replay it saved), how many mask bits were live after
-// protection filtering, the resolved fault lifecycle when forensics is on,
-// and the target's occupancy state sampled at injection time.
+// protection filtering, how the run ended, the resolved fault lifecycle
+// when forensics is on, and the target's occupancy state sampled at
+// injection time.
 type runMeta struct {
 	checkpoint    int // restored checkpoint index; -1 when checkpointing is off
 	cyclesSkipped uint64
 	maskBits      int
+
+	exit          string // a telemetry.Exit* value
+	auditMismatch bool   // audited sample whose simulation was not masked
 
 	mask      Mask // the applied mask; only retained when hasReport
 	report    forensics.Report
@@ -480,6 +469,120 @@ type runMeta struct {
 
 	occ, dirty       float64 // valid / dirty fraction at inject time
 	hasOcc, hasDirty bool
+}
+
+// sampleState records the target's occupancy state at injection time.
+func (m *runMeta) sampleState(target Target) {
+	st := liveness.StructState(target)
+	m.occ, m.hasOcc = st.Occ, st.HasOcc
+	m.dirty, m.hasDirty = st.Dirty, st.HasDirty
+}
+
+// auditStride sets the share of resolved samples the runtime audit
+// re-simulates: those whose mask seed, salted with the cell's identity,
+// is a multiple of it — a fixed function of the spec and the sample
+// index. Keying on the seed rather than the index audits one sample in
+// auditStride however small the cells are; the salt keeps grid cells that
+// share a seed (and so their mask seeds) from auditing the same indices,
+// or none. A read path the bit semantics miss then shows as a nonzero
+// gefin_shortcut_audit_mismatches_total in any large enough grid.
+const auditStride = 64
+
+// cellRun holds what every sample of one campaign cell shares: the
+// workload and its golden run, the spec, the cycle limit, the target's
+// geometry, the golden checkpoint cycles and, when the cell's samples may
+// be resolved at injection time, the target's golden liveness index.
+type cellRun struct {
+	w          *workloads.Workload
+	golden     *workloads.Golden
+	spec       Spec
+	limit      uint64
+	rows, cols int
+	ckpts      []uint64            // nil under NoCheckpoints
+	live       *liveness.Structure // nil: every sample is simulated
+	auditSalt  uint64
+}
+
+// newCellRun derives a validated spec's shared state: the golden run, the
+// target geometry (checked on a probe machine), and — before any worker
+// starts, so no worker pays the one-time cost under its first sample —
+// the checkpoint set and, for resolvable cells, the liveness index.
+func newCellRun(spec Spec) (*cellRun, error) {
+	w, err := workloads.ByName(spec.Workload)
+	if err != nil {
+		return nil, err
+	}
+	golden, err := w.Reference()
+	if err != nil {
+		return nil, err
+	}
+	probe, err := w.NewMachine()
+	if err != nil {
+		return nil, err
+	}
+	target, err := TargetFor(probe, spec.Component)
+	if err != nil {
+		return nil, err
+	}
+	c := &cellRun{w: w, golden: golden, spec: spec,
+		limit: uint64(spec.TimeoutFactor * float64(golden.Cycles)),
+		rows:  target.Rows(), cols: target.Cols()}
+	if !spec.NoCheckpoints {
+		if c.ckpts, err = w.CheckpointCycles(); err != nil {
+			return nil, err
+		}
+	}
+	// The shortcut only replaces the convergence path, and only where its
+	// verdict is the whole story: forensics observes the tail it would
+	// skip, and a wall-clock watchdog may classify a sample Timeout.
+	if !spec.NoCheckpoints && spec.Forensics == forensics.ModeOff && spec.WallTimeout == 0 {
+		idx, err := w.LiveIndex()
+		if err != nil {
+			return nil, err
+		}
+		c.live = idx.Structure(spec.Component)
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s/%s/%d", spec.Workload, spec.Component, spec.Faults)
+		c.auditSalt = h.Sum64()
+	}
+	return c, nil
+}
+
+// covering returns the golden checkpoint a restore for injectAt would use:
+// its index and cycle, or -1 when checkpointing is off.
+func (c *cellRun) covering(injectAt uint64) (int, uint64) {
+	if c.ckpts == nil {
+		return -1, 0
+	}
+	i := sort.Search(len(c.ckpts), func(i int) bool { return c.ckpts[i] > injectAt }) - 1
+	return i, c.ckpts[i]
+}
+
+// machineAt returns a machine ready to run up to injectAt: a fresh one
+// replaying from cycle 0 under NoCheckpoints, else one fast-forwarded to
+// the covering checkpoint, rewound by the worker's Restorer when it has
+// one.
+func (c *cellRun) machineAt(injectAt uint64, rst *workloads.Restorer) (*sim.Machine, workloads.Checkpoint, error) {
+	switch {
+	case c.spec.NoCheckpoints:
+		m, err := c.w.NewMachine()
+		return m, workloads.Checkpoint{Index: -1}, err
+	case rst != nil:
+		return rst.MachineAt(injectAt)
+	default:
+		return c.w.MachineAt(injectAt)
+	}
+}
+
+// dead reports whether no bit of the mask, flipped at injectAt, is ever
+// read by the golden run before being redefined.
+func (c *cellRun) dead(mask Mask, injectAt uint64) bool {
+	for _, cell := range mask.Cells {
+		if c.live.Live(cell.Row, cell.Col, injectAt) {
+			return false
+		}
+	}
+	return true
 }
 
 // testSampleHook, when non-nil, runs at the top of every sample inside the
@@ -494,53 +597,35 @@ var testSampleHook func(spec Spec, sample int)
 // cells dispatched across machines, a process abort would kill every cell
 // the process holds; a clean per-cell error lets the campaign retry or
 // fail just the one cell.
-func runOneRecovered(w *workloads.Workload, golden *workloads.Golden, spec Spec, limit, injectAt, maskSeed uint64, sample int, obsOcc bool, tel *telemetry.Campaign, rst, shadowRst *workloads.Restorer) (effect Effect, meta runMeta, err error) {
+func (c *cellRun) runOneRecovered(injectAt, maskSeed uint64, sample int, obsOcc bool, tel *telemetry.Campaign, rst, shadowRst *workloads.Restorer) (effect Effect, meta runMeta, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			tel.RecordWorkerPanic()
 			err = fmt.Errorf("core: %s/%s/%d-bit sample %d panicked: %v\n%s",
-				spec.Component, spec.Workload, spec.Faults, sample, r, debug.Stack())
+				c.spec.Component, c.spec.Workload, c.spec.Faults, sample, r, debug.Stack())
 		}
 	}()
 	if testSampleHook != nil {
-		testSampleHook(spec, sample)
+		testSampleHook(c.spec, sample)
 	}
-	return runOne(w, golden, spec, limit, injectAt, maskSeed, obsOcc, rst, shadowRst)
+	return c.runOne(injectAt, maskSeed, obsOcc, rst, shadowRst)
 }
 
-// runOne performs a single fault-injection simulation. Unless the spec
-// forbids it, the machine is fast-forwarded from the workload's nearest
-// golden checkpoint at or before the injection cycle instead of replaying
-// the whole golden prefix from cycle 0, and comes from the worker's
-// Restorer (rst), which rewinds one long-lived machine by delta restore
-// instead of building a fresh one per sample. All the paths are
-// bit-identical because checkpoints capture the complete machine state and
-// execution is deterministic.
-func runOne(w *workloads.Workload, golden *workloads.Golden, spec Spec, limit, injectAt, maskSeed uint64, obsOcc bool, rst, shadowRst *workloads.Restorer) (Effect, runMeta, error) {
-	meta := runMeta{checkpoint: -1}
-	var m *sim.Machine
-	var err error
-	switch {
-	case spec.NoCheckpoints:
-		m, err = w.NewMachine()
-	case rst != nil:
-		var ck workloads.Checkpoint
-		m, ck, err = rst.MachineAt(injectAt)
-		meta.checkpoint = ck.Index
-		meta.cyclesSkipped = ck.Cycle
-	default:
-		var ck workloads.Checkpoint
-		m, ck, err = w.MachineAt(injectAt)
-		meta.checkpoint = ck.Index
-		meta.cyclesSkipped = ck.Cycle
-	}
-	if err != nil {
-		return 0, meta, err
-	}
-	target, err := TargetFor(m, spec.Component)
-	if err != nil {
-		return 0, meta, err
-	}
+// runOne performs a single fault-injection sample. The mask is drawn
+// first, from the target's geometry alone. A sample the golden liveness
+// index resolves — no flipped bit is read before being redefined — is
+// the golden run by determinism and returns EffectMasked without a
+// machine; every other sample is simulated. Unless the spec forbids it,
+// the machine is fast-forwarded from the workload's nearest golden
+// checkpoint at or before the injection cycle instead of replaying the
+// whole golden prefix from cycle 0, and comes from the worker's Restorer
+// (rst), which rewinds one long-lived machine by delta restore instead of
+// building a fresh one per sample. All the paths are bit-identical because
+// checkpoints capture the complete machine state and execution is
+// deterministic.
+func (c *cellRun) runOne(injectAt, maskSeed uint64, obsOcc bool, rst, shadowRst *workloads.Restorer) (Effect, runMeta, error) {
+	spec := c.spec
+	meta := runMeta{checkpoint: -1, exit: telemetry.ExitRan}
 	sc := scratchPool.Get().(*sampleScratch)
 	defer scratchPool.Put(sc)
 	sc.pcg.Seed(maskSeed, 0xDEADBEEFCAFEF00D)
@@ -551,10 +636,10 @@ func runOne(w *workloads.Workload, golden *workloads.Golden, spec Spec, limit, i
 	if spec.Forensics != forensics.ModeOff {
 		msc = nil
 	}
-	mask := generateMask(rng, target.Rows(), target.Cols(), spec.Faults, spec.Cluster, msc)
+	mask := generateMask(rng, c.rows, c.cols, spec.Faults, spec.Cluster, msc)
 	if spec.ForceSpanning {
 		for tries := 0; !mask.Spanning(spec.Cluster) && tries < maxSpanningTries; tries++ {
-			mask = generateMask(rng, target.Rows(), target.Cols(), spec.Faults, spec.Cluster, msc)
+			mask = generateMask(rng, c.rows, c.cols, spec.Faults, spec.Cluster, msc)
 		}
 		if !mask.Spanning(spec.Cluster) {
 			// Silently running a non-spanning mask would violate the
@@ -573,6 +658,8 @@ func runOne(w *workloads.Workload, golden *workloads.Golden, spec Spec, limit, i
 			// (pessimistic: modeled at injection time, see protect.go).
 			// Forensically, the abort fires before any corrupted bit can
 			// reach the datapath.
+			meta.checkpoint, meta.cyclesSkipped = c.covering(injectAt)
+			meta.exit = telemetry.ExitResolved
 			if spec.Forensics != forensics.ModeOff {
 				meta.mask = mask
 				meta.report = forensics.Report{Fate: forensics.FateNeverTouched, FirstTouchLat: -1}
@@ -582,6 +669,8 @@ func runOne(w *workloads.Workload, golden *workloads.Golden, spec Spec, limit, i
 		case len(fr.Surviving.Cells) == 0:
 			// Everything corrected: by construction the run is the golden
 			// run; skip the simulation. The scrub overwrote every flip.
+			meta.checkpoint, meta.cyclesSkipped = c.covering(injectAt)
+			meta.exit = telemetry.ExitResolved
 			if spec.Forensics != forensics.ModeOff {
 				meta.mask = mask
 				meta.report = forensics.Report{Fate: forensics.FateOverwritten, FirstTouchLat: 0}
@@ -593,6 +682,49 @@ func runOne(w *workloads.Workload, golden *workloads.Golden, spec Spec, limit, i
 	}
 	meta.maskBits = len(mask.Cells)
 
+	// Dead at injection: every flipped cell's next golden event redefines
+	// it or never comes, so the faulty run is the golden run. A sample
+	// selected by the audit is simulated anyway and keeps the simulated
+	// outcome.
+	if c.live != nil && c.dead(mask, injectAt) {
+		if (maskSeed^c.auditSalt)%auditStride == 0 {
+			meta.exit = telemetry.ExitAudited
+		} else {
+			meta.exit = telemetry.ExitResolved
+			if !obsOcc {
+				meta.checkpoint, meta.cyclesSkipped = c.covering(injectAt)
+				return EffectMasked, meta, nil
+			}
+			// Telemetry averages the target's state at injection time:
+			// replay the golden prefix to sample it, and skip only the
+			// tail.
+			m, ck, err := c.machineAt(injectAt, rst)
+			if err != nil {
+				return 0, meta, err
+			}
+			meta.checkpoint, meta.cyclesSkipped = ck.Index, ck.Cycle
+			if m.Core.Cycles() < injectAt {
+				m.Run(injectAt, 0, nil)
+			}
+			target, err := TargetFor(m, spec.Component)
+			if err != nil {
+				return 0, meta, err
+			}
+			meta.sampleState(target)
+			return EffectMasked, meta, nil
+		}
+	}
+
+	m, ck, err := c.machineAt(injectAt, rst)
+	if err != nil {
+		return 0, meta, err
+	}
+	meta.checkpoint, meta.cyclesSkipped = ck.Index, ck.Cycle
+	target, err := TargetFor(m, spec.Component)
+	if err != nil {
+		return 0, meta, err
+	}
+
 	// A full-forensics run replays a second, fault-free machine from the
 	// same checkpoint in lockstep with the faulty one and records the first
 	// cycle their architectural digests differ. A timing-only divergence
@@ -601,15 +733,7 @@ func runOne(w *workloads.Workload, golden *workloads.Golden, spec Spec, limit, i
 	// earliest bound on architectural visibility.
 	var shadow *sim.Machine
 	if spec.Forensics == forensics.ModeFull {
-		switch {
-		case spec.NoCheckpoints:
-			shadow, err = w.NewMachine()
-		case shadowRst != nil:
-			shadow, _, err = shadowRst.MachineAt(injectAt)
-		default:
-			shadow, _, err = w.MachineAt(injectAt)
-		}
-		if err != nil {
+		if shadow, _, err = c.machineAt(injectAt, shadowRst); err != nil {
 			return 0, meta, err
 		}
 	}
@@ -620,16 +744,14 @@ func runOne(w *workloads.Workload, golden *workloads.Golden, spec Spec, limit, i
 	)
 	inject := func(*sim.Machine) {
 		if obsOcc {
-			st := liveness.StructState(target)
-			meta.occ, meta.hasOcc = st.Occ, st.HasOcc
-			meta.dirty, meta.hasDirty = st.Dirty, st.HasDirty
+			meta.sampleState(target)
 		}
 		mask.Apply(target)
 		if spec.Forensics != forensics.ModeOff {
 			t := forensics.NewTracker(m.Core.Cycles)
 			cells := make([]forensics.BitCell, len(mask.Cells))
-			for i, c := range mask.Cells {
-				cells[i] = forensics.BitCell{Row: c.Row, Col: c.Col}
+			for i, mc := range mask.Cells {
+				cells[i] = forensics.BitCell{Row: mc.Row, Col: mc.Col}
 			}
 			if attachErr = t.Attach(target, cells); attachErr == nil {
 				tr = t
@@ -660,9 +782,13 @@ func runOne(w *workloads.Workload, golden *workloads.Golden, spec Spec, limit, i
 	// observe the fault's lifecycle, which the exit would truncate.
 	var out sim.Outcome
 	if !spec.NoCheckpoints && spec.Forensics == forensics.ModeOff {
-		out = runToConvergence(w, m, golden, limit, injectAt, inject, deadline)
+		var converged bool
+		out, converged = runToConvergence(c.w, m, c.golden, c.limit, injectAt, inject, deadline)
+		if converged && meta.exit == telemetry.ExitRan {
+			meta.exit = telemetry.ExitConverged
+		}
 	} else {
-		out = m.RunWatched(limit, injectAt, inject, onCycle, deadline)
+		out = m.RunWatched(c.limit, injectAt, inject, onCycle, deadline)
 	}
 	// Probes are wiring, not snapshot state: detach this sample's tracker
 	// so the worker's reused machine runs the next sample unprobed.
@@ -672,7 +798,8 @@ func runOne(w *workloads.Workload, golden *workloads.Golden, spec Spec, limit, i
 	if attachErr != nil {
 		return 0, meta, attachErr
 	}
-	eff := Classify(out, golden)
+	eff := Classify(out, c.golden)
+	meta.auditMismatch = meta.exit == telemetry.ExitAudited && eff != EffectMasked
 	if tr != nil {
 		meta.mask = mask
 		meta.report = tr.Resolve(eff == EffectMasked)
@@ -686,14 +813,15 @@ func runOne(w *workloads.Workload, golden *workloads.Golden, spec Spec, limit, i
 // complete state against that checkpoint's snapshot. On bit-equality the
 // remainder of the run is deterministically the golden run, so the golden
 // outcome is returned without simulating it (Classify maps it to
-// EffectMasked, exactly as the full run would). The compare is exact —
-// every counter and replacement stamp must match — so a fault that leaves
-// any trace, architectural or timing, runs to completion as before, and the
-// returned outcome is bit-identical to RunWatched's in every case.
-func runToConvergence(w *workloads.Workload, m *sim.Machine, golden *workloads.Golden, limit, injectAt uint64, inject func(*sim.Machine), deadline time.Time) sim.Outcome {
+// EffectMasked, exactly as the full run would) and converged is true. The
+// compare is exact — every counter and replacement stamp must match — so a
+// fault that leaves any trace, architectural or timing, runs to completion
+// as before, and the returned outcome is bit-identical to RunWatched's in
+// every case.
+func runToConvergence(w *workloads.Workload, m *sim.Machine, golden *workloads.Golden, limit, injectAt uint64, inject func(*sim.Machine), deadline time.Time) (out sim.Outcome, converged bool) {
 	cycles, snaps, err := w.GoldenCheckpoints()
 	if err != nil {
-		return m.RunWatched(limit, injectAt, inject, nil, deadline)
+		return m.RunWatched(limit, injectAt, inject, nil, deadline), false
 	}
 	// First checkpoint strictly after the injection cycle: earlier ones
 	// cannot witness the fault, later ones are visited in order below.
@@ -705,7 +833,7 @@ func runToConvergence(w *workloads.Workload, m *sim.Machine, golden *workloads.G
 		out := m.RunWatched(seg, injectAt, inject, nil, deadline)
 		inject = nil
 		if !out.TimedOut || out.WallTimedOut {
-			return out // stopped (or was wall-killed) before the crossing
+			return out, false // stopped (or was wall-killed) before the crossing
 		}
 		if m.EqualsSnapshot(snaps[idx]) {
 			return sim.Outcome{
@@ -714,10 +842,10 @@ func runToConvergence(w *workloads.Workload, m *sim.Machine, golden *workloads.G
 				Stdout:    golden.Stdout,
 				Cycles:    golden.Cycles,
 				Committed: golden.Committed,
-			}
+			}, true
 		}
 	}
-	return m.RunWatched(limit, injectAt, inject, nil, deadline)
+	return m.RunWatched(limit, injectAt, inject, nil, deadline), false
 }
 
 // CellKey identifies one campaign cell inside a ResultSet.

@@ -20,12 +20,14 @@ import (
 // before structural checks run.
 const maxWireSlice = 1 << 20
 
-func wireLen(r *wire.Reader) (int, error) {
+// wireLen reads a slice length whose elements are each encoded in at least
+// size bytes, and checks it against maxWireSlice and the unread input.
+func wireLen(r *wire.Reader, size int) (int, error) {
 	n := r.Int()
 	if err := r.Err(); err != nil {
 		return 0, err
 	}
-	if n < 0 || n > maxWireSlice {
+	if n < 0 || n > maxWireSlice || !r.Fits(n, size) {
 		return 0, fmt.Errorf("cpu: snapshot slice length %d out of range", n)
 	}
 	return n, nil
@@ -43,7 +45,7 @@ func (s *RegFileSnapshot) EncodeWire(w *wire.Writer) {
 }
 
 func decodeRegFileWire(r *wire.Reader) (*RegFileSnapshot, error) {
-	n, err := wireLen(r)
+	n, err := wireLen(r, 5)
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +229,7 @@ func DecodeSnapshotWire(r *wire.Reader) (*Snapshot, error) {
 	}
 	s.freeList = r.Blob()
 
-	n, err := wireLen(r)
+	n, err := wireLen(r, 55)
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +242,7 @@ func DecodeSnapshotWire(r *wire.Reader) (*Snapshot, error) {
 	s.seqNext = r.U64()
 
 	s.fetchPC = r.U32()
-	if n, err = wireLen(r); err != nil {
+	if n, err = wireLen(r, 21); err != nil {
 		return nil, err
 	}
 	s.fetchQ = make([]fetchedInst, n)
@@ -258,7 +260,7 @@ func DecodeSnapshotWire(r *wire.Reader) (*Snapshot, error) {
 	s.fetchFaulted = r.Bool()
 	s.textBase = r.U32()
 
-	if n, err = wireLen(r); err != nil {
+	if n, err = wireLen(r, 15); err != nil {
 		return nil, err
 	}
 	s.iq = make([]iqEntry, n)
@@ -270,7 +272,7 @@ func DecodeSnapshotWire(r *wire.Reader) (*Snapshot, error) {
 		e.srcs[1] = r.U8()
 		e.srcs[2] = r.U8()
 	}
-	if n, err = wireLen(r); err != nil {
+	if n, err = wireLen(r, 37); err != nil {
 		return nil, err
 	}
 	s.inflight = make([]wbEntry, n)
@@ -288,7 +290,7 @@ func DecodeSnapshotWire(r *wire.Reader) (*Snapshot, error) {
 		e.isInd = r.Bool()
 		e.taken = r.Bool()
 	}
-	if n, err = wireLen(r); err != nil {
+	if n, err = wireLen(r, 12); err != nil {
 		return nil, err
 	}
 	s.pending = make([]pendingLoad, n)
@@ -296,7 +298,7 @@ func DecodeSnapshotWire(r *wire.Reader) (*Snapshot, error) {
 		s.pending[i].seq = r.U64()
 		s.pending[i].slot = r.I32()
 	}
-	if n, err = wireLen(r); err != nil {
+	if n, err = wireLen(r, 4); err != nil {
 		return nil, err
 	}
 	s.sq = make([]int32, n)

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -332,4 +333,66 @@ func TestWorkerFederatesThroughRealRun(t *testing.T) {
 	if s := tel.Summarize(); s.Samples != int64(specs[0].Samples) {
 		t.Fatalf("summary samples = %d, want %d", s.Samples, specs[0].Samples)
 	}
+}
+
+// TestFirstHeartbeatCarriesWorkerInfo: a worker's first heartbeat carries
+// at least its info gauge, even when it beats before its cell has recorded
+// anything — here, while its artifact fetch is still stalled — so the
+// coordinator's scrape shows every worker that ever held a lease.
+func TestFirstHeartbeatCarriesWorkerInfo(t *testing.T) {
+	beat := make(chan []telemetry.WireMetric, 1)
+	var leased atomic.Bool
+	mux := http.NewServeMux()
+	reply := func(w http.ResponseWriter, v any) { _ = json.NewEncoder(w).Encode(v) }
+	mux.HandleFunc(PathLease, func(w http.ResponseWriter, r *http.Request) {
+		if leased.Swap(true) {
+			reply(w, LeaseReply{Status: StatusDone})
+			return
+		}
+		reply(w, LeaseReply{Status: StatusLease, LeaseID: 1, Campaign: "c1", TTL: 30 * time.Millisecond,
+			Spec: core.Spec{Workload: "stringSearch", Component: core.CompL1D, Faults: 1, Samples: 2, Seed: 3}})
+	})
+	mux.HandleFunc(PathHeartbeat, func(w http.ResponseWriter, r *http.Request) {
+		var req HeartbeatRequest
+		_ = json.NewDecoder(r.Body).Decode(&req)
+		select {
+		case beat <- req.Metrics:
+		default:
+		}
+		reply(w, HeartbeatReply{Status: StatusOK})
+	})
+	first := make(chan []telemetry.WireMetric, 1)
+	mux.HandleFunc(PathArtifact, func(w http.ResponseWriter, r *http.Request) {
+		select { // hold the fetch until the first beat has gone out
+		case ms := <-beat:
+			first <- ms
+		case <-time.After(10 * time.Second):
+		}
+		http.NotFound(w, r)
+	})
+	mux.HandleFunc(PathSubmit, func(w http.ResponseWriter, r *http.Request) {
+		reply(w, SubmitReply{Status: StatusAccepted, CampaignDone: true})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	tel := telemetry.NewCampaign(nil)
+	w := &Worker{ID: "w1", URL: srv.URL, Tel: tel, Artifacts: &ArtifactCache{URL: srv.URL, Tel: tel}}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	if err := w.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	var ms []telemetry.WireMetric
+	select {
+	case ms = <-first:
+	default:
+		t.Fatal("no heartbeat while the artifact fetch was held")
+	}
+	for _, m := range ms {
+		if m.Name == telemetry.MetricWorkerInfo && m.Value == 1 {
+			return
+		}
+	}
+	t.Fatalf("first heartbeat carried %+v, want %s", ms, telemetry.MetricWorkerInfo)
 }

@@ -79,6 +79,10 @@ func (w *Worker) maxDowntime() time.Duration {
 // any held lease), or the coordinator stays unreachable past MaxDowntime.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.Tel != nil && w.delta == nil {
+		// The info gauge guarantees the first heartbeat carries a series,
+		// so the coordinator shows this worker even before its first cell
+		// has recorded anything.
+		w.Tel.SetWorkerInfo()
 		w.delta = telemetry.NewDeltaTracker(w.Tel.Registry)
 	}
 	for {

@@ -35,7 +35,7 @@ func DecodeSnapshotWire(r *wire.Reader) (*Snapshot, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if n < 0 || n > int(s.size)/snapChunk+1 {
+	if n < 0 || n > int(s.size)/snapChunk+1 || !r.Fits(n, 4) {
 		return nil, fmt.Errorf("mem: snapshot chunk count %d out of range for %d-byte RAM", n, s.size)
 	}
 	if n > 0 {

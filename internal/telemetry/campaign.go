@@ -84,6 +84,19 @@ const (
 	MetricProfiles       = "gefin_profiles_total"
 	MetricProfileACEBP   = "gefin_profile_ace_bp"
 	MetricProfileNeverBP = "gefin_profile_never_touched_bp"
+
+	// Sample-exit series: how each sample ended (see the Exit* values),
+	// the runtime audit's disagreements between a liveness-index verdict
+	// and the re-simulated outcome (present once any sample was audited,
+	// and always 0 unless the simulator grew a read path the bit
+	// semantics miss), and the wall time of each workload's one golden
+	// pass that builds the liveness index. A worker sets the constant
+	// worker-info gauge when it starts, so its first heartbeat always
+	// carries a series.
+	MetricSampleExits      = "gefin_sample_exits_total" // + {exit="..."}
+	MetricAuditMismatches  = "gefin_shortcut_audit_mismatches_total"
+	MetricLiveIndexSeconds = "gefin_live_index_build_seconds" // + {workload="..."}
+	MetricWorkerInfo       = "gefin_worker_info"
 )
 
 // Campaign bundles a metrics registry and an optional tracer behind typed
@@ -120,6 +133,9 @@ func (c *Campaign) RecordSample(rec *SampleRecord) {
 		return
 	}
 	c.Registry.Counter(MetricSamples + `{outcome="` + rec.Outcome + `"}`).Inc()
+	if rec.Exit != "" {
+		c.Registry.Counter(MetricSampleExits + `{exit="` + rec.Exit + `"}`).Inc()
+	}
 	c.Registry.Histogram(MetricSampleSeconds, DurationBuckets).
 		Observe(float64(rec.DurationNS) / 1e9)
 	if rec.CyclesSkipped > 0 {
@@ -128,6 +144,36 @@ func (c *Campaign) RecordSample(rec *SampleRecord) {
 	} else {
 		c.Registry.Counter(MetricCkptMisses).Inc()
 	}
+}
+
+// RecordAudit counts one audited sample's verdict: a mismatch means the
+// liveness index called a fault dead that the simulation found live.
+func (c *Campaign) RecordAudit(mismatch bool) {
+	if c == nil {
+		return
+	}
+	var n int64
+	if mismatch {
+		n = 1
+	}
+	c.Registry.Counter(MetricAuditMismatches).Add(n)
+}
+
+// LiveIndexBuilt records the golden pass that built one workload's
+// liveness index.
+func (c *Campaign) LiveIndexBuilt(workload string, d time.Duration) {
+	if c == nil {
+		return
+	}
+	c.Registry.Histogram(MetricLiveIndexSeconds+`{workload="`+workload+`"}`, DurationBuckets).ObserveDuration(d)
+}
+
+// SetWorkerInfo sets the constant worker-info gauge.
+func (c *Campaign) SetWorkerInfo() {
+	if c == nil {
+		return
+	}
+	c.Registry.Gauge(MetricWorkerInfo).Set(1)
 }
 
 // RecordFate ingests one resolved fault lifecycle into the per-component

@@ -320,10 +320,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 					return err
 				}
 			}
-			if _, err := fmt.Fprintf(w, "%s_sum %s\n", m.Name, formatFloat(m.Value)); err != nil {
+			labels := m.Name[len(family):]
+			if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", family, labels, formatFloat(m.Value)); err != nil {
 				return err
 			}
-			if _, err := fmt.Fprintf(w, "%s_count %d\n", m.Name, m.Count); err != nil {
+			if _, err := fmt.Fprintf(w, "%s_count%s %d\n", family, labels, m.Count); err != nil {
 				return err
 			}
 		default:

@@ -109,6 +109,66 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
+// TestLabeledHistogramExposition: a histogram whose name carries labels
+// (federated worker series, the per-workload index build time) renders
+// its _sum and _count with the labels after the suffix, as Prometheus
+// expects, not `name{...}_sum`.
+func TestLabeledHistogramExposition(t *testing.T) {
+	c := NewCampaign(nil)
+	c.LiveIndexBuilt("sha", 1500*time.Millisecond)
+	var sb strings.Builder
+	if err := c.Registry.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{
+		"# TYPE gefin_live_index_build_seconds histogram\n",
+		"gefin_live_index_build_seconds_bucket{workload=\"sha\",le=\"2.5\"} 1\n",
+		"gefin_live_index_build_seconds_sum{workload=\"sha\"} 1.5\n",
+		"gefin_live_index_build_seconds_count{workload=\"sha\"} 1\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("prometheus output missing %q\ngot:\n%s", want, out)
+		}
+	}
+}
+
+// TestSampleExitAndAuditSeries: every recorded exit is counted under its
+// label, and the audit counter exists (at 0) once any sample was audited.
+func TestSampleExitAndAuditSeries(t *testing.T) {
+	c := NewCampaign(nil)
+	for _, exit := range []string{ExitResolved, ExitResolved, ExitAudited, ExitConverged, ExitRan, ""} {
+		c.RecordSample(&SampleRecord{Outcome: "masked", Exit: exit})
+	}
+	c.RecordAudit(false)
+	want := map[string]int64{ExitResolved: 2, ExitAudited: 1, ExitConverged: 1, ExitRan: 1}
+	var total int64
+	for _, m := range c.Registry.Snapshot() {
+		if strings.HasPrefix(m.Name, MetricSampleExits) {
+			total += int64(m.Value)
+		}
+	}
+	for exit, n := range want {
+		if got := c.Registry.Counter(MetricSampleExits + `{exit="` + exit + `"}`).Value(); got != n {
+			t.Errorf("exit %q counted %d, want %d", exit, got, n)
+		}
+	}
+	if total != 5 {
+		t.Errorf("%d exits counted, want 5 (a record without an exit counts none)", total)
+	}
+	found := false
+	for _, m := range c.Registry.Snapshot() {
+		found = found || m.Name == MetricAuditMismatches
+	}
+	if !found || c.Registry.Counter(MetricAuditMismatches).Value() != 0 {
+		t.Fatal("a clean audit must publish the mismatch counter at 0")
+	}
+	c.RecordAudit(true)
+	if got := c.Registry.Counter(MetricAuditMismatches).Value(); got != 1 {
+		t.Fatalf("mismatch counter = %d, want 1", got)
+	}
+}
+
 func TestNilRegistryAndCollectorsAreNoops(t *testing.T) {
 	var r *Registry
 	r.Counter("x").Inc()

@@ -44,7 +44,27 @@ type SampleRecord struct {
 
 	Outcome    string `json:"outcome"`
 	DurationNS int64  `json:"duration_ns"` // wall-clock time of the sample
+
+	// Exit is how the sample ended (ExitResolved, ExitAudited,
+	// ExitConverged or ExitRan); empty in traces written before it existed.
+	Exit string `json:"exit,omitempty"`
 }
+
+// Sample exits: how a sample's run ended.
+const (
+	// ExitResolved: decided at injection time without simulating the
+	// post-inject tail — by the protection filter, or because the golden
+	// liveness index shows no flipped bit is ever read.
+	ExitResolved = "resolved"
+	// ExitAudited: resolved by the liveness index, then simulated anyway
+	// by the runtime audit; the outcome is the simulated one.
+	ExitAudited = "resolved-audited"
+	// ExitConverged: the faulty machine matched a golden checkpoint
+	// bit for bit, so the rest of the run was the golden run.
+	ExitConverged = "converged"
+	// ExitRan: simulated to its end (stop, cycle limit or watchdog).
+	ExitRan = "ran"
+)
 
 // FateRecord is the schema-v2 forensics record paired with one sample: the
 // resolved lifecycle of the injected fault mask (see internal/forensics).

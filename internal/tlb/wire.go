@@ -28,7 +28,7 @@ func DecodeSnapshotWire(r *wire.Reader) (*Snapshot, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if n < 0 || n > maxWireEntries {
+	if n < 0 || n > maxWireEntries || !r.Fits(n, 4) {
 		return nil, fmt.Errorf("tlb: snapshot entry count %d out of range", n)
 	}
 	s := &Snapshot{entries: make([]uint32, n)}

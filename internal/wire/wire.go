@@ -85,6 +85,12 @@ func (r *Reader) Err() error { return r.err }
 // Len returns the number of unconsumed bytes.
 func (r *Reader) Len() int { return len(r.buf) - r.off }
 
+// Fits reports whether n elements, each encoded in at least size bytes,
+// fit in the unconsumed input. Decoders check length prefixes with it
+// before allocating, so a corrupt length cannot drive an allocation larger
+// than the input that claims it.
+func (r *Reader) Fits(n, size int) bool { return n >= 0 && n <= r.Len()/size }
+
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return nil

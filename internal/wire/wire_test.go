@@ -118,3 +118,17 @@ func TestBlobLengthBomb(t *testing.T) {
 		t.Fatal("oversized blob length not reported")
 	}
 }
+
+// TestFitsBoundsByInput: a length prefix only fits when the unread input
+// can hold that many elements, so decoders never allocate beyond it.
+func TestFitsBoundsByInput(t *testing.T) {
+	r := NewReader(make([]byte, 40))
+	for _, tc := range []struct {
+		n, size int
+		want    bool
+	}{{10, 4, true}, {11, 4, false}, {0, 55, true}, {1, 55, false}, {-1, 1, false}, {1 << 20, 12, false}} {
+		if got := r.Fits(tc.n, tc.size); got != tc.want {
+			t.Errorf("Fits(%d, %d) over 40 bytes = %v, want %v", tc.n, tc.size, got, tc.want)
+		}
+	}
+}

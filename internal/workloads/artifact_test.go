@@ -2,6 +2,8 @@ package workloads
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -228,4 +230,49 @@ func TestInstallArtifactRejectsMismatch(t *testing.T) {
 	if g.Cycles == 0 || *derived != 1 {
 		t.Fatalf("fallback derivation broken after rejected install: derived=%d", *derived)
 	}
+}
+
+// sealArtifact wraps a payload in a valid artifact container (magic,
+// format version, content hash), so fuzzed payloads reach the field
+// decoders instead of failing the hash.
+func sealArtifact(payload []byte) []byte {
+	out := append(artifactMagic[:], make([]byte, 8)...)
+	binary.LittleEndian.PutUint64(out[4:], ArtifactFormat)
+	out = append(out, payload...)
+	sum := sha256.Sum256(out)
+	return append(out, sum[:]...)
+}
+
+// FuzzDecodeArtifact feeds arbitrary payloads, sealed with a valid
+// container, to the artifact decoder — the bytes a worker takes from its
+// disk cache or a coordinator. It must never panic, and an artifact it
+// accepts must re-encode to a byte string that decodes and re-encodes to
+// itself.
+func FuzzDecodeArtifact(f *testing.F) {
+	for _, name := range []string{"sha", "stringSearch"} {
+		w, err := ByName(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		a, err := ExportArtifact(w)
+		if err != nil {
+			f.Fatal(err)
+		}
+		good := a.Encode()
+		f.Add(good[len(artifactMagic)+8 : len(good)-sha256.Size])
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		a, err := DecodeArtifact(sealArtifact(payload))
+		if err != nil {
+			return
+		}
+		enc := a.Encode()
+		back, err := DecodeArtifact(enc)
+		if err != nil {
+			t.Fatalf("re-encoded artifact rejected: %v", err)
+		}
+		if !bytes.Equal(back.Encode(), enc) {
+			t.Fatal("artifact encoding is not stable across a round trip")
+		}
+	})
 }

@@ -13,6 +13,7 @@ import (
 	"sync"
 
 	"mbusim/internal/asm"
+	"mbusim/internal/liveness"
 	"mbusim/internal/minic"
 	"mbusim/internal/sim"
 )
@@ -45,6 +46,13 @@ type Workload struct {
 	// per-sample convergence checks borrow them without allocating.
 	ckptCycles []uint64
 	ckptSnaps  []*sim.Snapshot
+
+	// The golden liveness index of the caches and TLBs, built by its own
+	// golden pass on first use (LiveIndex), never by Reference or the
+	// checkpoint pass.
+	liveOnce sync.Once
+	live     *liveness.Index
+	liveErr  error
 }
 
 // OnGoldenDerived, when non-nil, is called each time a workload's golden
